@@ -95,16 +95,23 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # type through render + parse.
 cargo run --offline --quiet --bin moteur -- daemon --check-protocol
 
+# Data manager: cold/warm pair on the deterministic chain. Fails if the
+# cold run drifts from eq. 1-4 or any warm invocation misses the cache;
+# writes BENCH_warm.json, re-checked by the gate below.
+cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+  warm --ndata 6 --out-dir .
+
+# The paper's figures are subcommands of the same binary; a quick
+# Table 1 keeps the figure code building and running.
+cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+  table1 --quick
+
+# Every campaign document above, re-checked by the same check its
+# subcommand exited on, plus the summary and scale baselines.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   gate --faults BENCH_faults.json --timeline BENCH_timeline.json \
   --plan BENCH_plan.json --scale BENCH_scale.json --daemon BENCH_daemon.json \
   --stream BENCH_stream.json
-
-# Data manager: cold/warm pair on the deterministic chain. Fails if the
-# cold run drifts from eq. 1-4 or any warm invocation misses the cache;
-# writes BENCH_warm.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
-  warm --ndata 6 --out-dir .
 
 # Graceful degradation end-to-end: a run whose timeout budget is
 # unsatisfiable must quarantine (not abort), emit a workflow report

@@ -66,14 +66,6 @@ impl DaemonReport {
             self.cross_tenant_hits as f64 / total as f64
         }
     }
-
-    /// Did the wave meet its headline targets? Every submission must
-    /// succeed and the wave must reuse ≥ 90% of the seed's derivations
-    /// (the ISSUE's cross-tenant sharing bar, also enforced in CI by
-    /// `gate::check_daemon`).
-    pub fn ok(&self) -> bool {
-        self.succeeded == self.n_workflows && self.cross_tenant_hit_ratio() >= 0.9
-    }
 }
 
 fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {

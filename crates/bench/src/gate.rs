@@ -1,8 +1,12 @@
-//! Bench regression gate: compare a fresh `BENCH_summary.json` against
-//! the committed baseline and fail when performance regressed.
+//! Bench regression gate: every campaign's pass criterion, written once
+//! over its BENCH JSON document.
 //!
-//! Three families of checks, all driven by the stable summary schema
-//! (see [`crate::sweep::SUMMARY_SCHEMA`]):
+//! Each `check_*` function reads one document and returns
+//! [`GateCheck`]s. A campaign subcommand applies its check to the
+//! document it just wrote and exits on the verdict; `moteur-bench gate`
+//! applies the same functions to the documents it finds, so the two
+//! cannot disagree. Only the gate compares against committed baselines;
+//! for the campaign summary ([`check_gate`]) that makes three families:
 //!
 //! - **makespan**: per configuration, `makespan_at_max` must not exceed
 //!   the baseline by more than the threshold fraction;
@@ -16,7 +20,7 @@
 //! `MOTEUR_BENCH_UPDATE_BASELINE=1` override (handled by the binary,
 //! not here) rewrites the baseline instead of failing.
 
-use moteur::lint::JsonValue;
+use moteur::obs::json::JsonValue;
 
 /// One baseline-vs-current comparison.
 #[derive(Debug, Clone)]
@@ -26,6 +30,22 @@ pub struct GateCheck {
     pub baseline: f64,
     pub current: f64,
     pub ok: bool,
+}
+
+impl GateCheck {
+    fn new(what: impl Into<String>, baseline: f64, current: f64, ok: bool) -> Self {
+        GateCheck {
+            what: what.into(),
+            baseline,
+            current,
+            ok,
+        }
+    }
+
+    /// A yes/no invariant: baseline 1, current 1 when it holds.
+    fn holds(what: impl Into<String>, ok: bool) -> Self {
+        GateCheck::new(what, 1.0, f64::from(u8::from(ok)), ok)
+    }
 }
 
 /// The gate's verdict.
@@ -49,46 +69,63 @@ impl GateReport {
 
     /// Human rendering, one line per check.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "bench gate (threshold {:.0}%): {}",
-            self.threshold * 100.0,
-            if self.ok() { "PASS" } else { "FAIL" }
-        );
-        for c in &self.checks {
-            let _ = writeln!(
-                out,
-                "  {:<28} baseline {:>12.2} current {:>12.2}  {}",
-                c.what,
-                c.baseline,
-                c.current,
-                if c.ok { "ok" } else { "REGRESSED" }
-            );
-        }
-        out
+        render_checks(
+            &format!("bench gate (threshold {:.0}%)", self.threshold * 100.0),
+            &self.checks,
+        )
     }
 }
 
-fn parse_summary(label: &str, json: &str) -> Result<JsonValue, String> {
+/// `title: PASS|FAIL`, then one line per check.
+pub fn render_checks(title: &str, checks: &[GateCheck]) -> String {
+    use std::fmt::Write as _;
+    let ok = checks.iter().all(|c| c.ok);
+    let mut out = format!("{title}: {}\n", if ok { "PASS" } else { "FAIL" });
+    for c in checks {
+        let _ = writeln!(
+            out,
+            "  {:<28} baseline {:>12.2} current {:>12.2}  {}",
+            c.what,
+            c.baseline,
+            c.current,
+            if c.ok { "ok" } else { "REGRESSED" }
+        );
+    }
+    out
+}
+
+/// Parse a BENCH document and insist on its schema tag.
+fn parse_doc(label: &str, schema: &str, json: &str) -> Result<JsonValue, String> {
     let value = JsonValue::parse(json).map_err(|e| format!("{label}: {e}"))?;
     match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::sweep::SUMMARY_SCHEMA) => Ok(value),
-        Some(other) => Err(format!(
-            "{label}: schema `{other}`, expected `{}`",
-            crate::sweep::SUMMARY_SCHEMA
-        )),
+        Some(tag) if tag == schema => Ok(value),
+        Some(other) => Err(format!("{label}: schema `{other}`, expected `{schema}`")),
         None => Err(format!("{label}: missing schema tag")),
     }
 }
 
+/// A mandatory numeric field.
+fn number(label: &str, doc: &JsonValue, field: &str) -> Result<f64, String> {
+    doc.get(field)
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("{label}: missing `{field}`"))
+}
+
+/// A mandatory array field.
+fn items<'a>(label: &str, doc: &'a JsonValue, field: &str) -> Result<&'a [JsonValue], String> {
+    doc.get(field)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{label}: missing {field} array"))
+}
+
+/// The element of `list` whose `key` field is `name`.
+fn named<'a>(list: &'a [JsonValue], key: &str, name: &str) -> Option<&'a JsonValue> {
+    list.iter()
+        .find(|e| e.get(key).and_then(JsonValue::as_str) == Some(name))
+}
+
 fn config_field(summary: &JsonValue, config: &str, field: &str) -> Option<f64> {
-    summary
-        .get("configs")?
-        .as_array()?
-        .iter()
-        .find(|c| c.get("config").and_then(JsonValue::as_str) == Some(config))?
+    named(summary.get("configs")?.as_array()?, "config", config)?
         .get(field)?
         .as_f64()
 }
@@ -106,6 +143,27 @@ fn config_names(summary: &JsonValue) -> Vec<String> {
         .unwrap_or_default()
 }
 
+/// `drift/<config>`: the summary's model-vs-observed flag, when present.
+fn drift_check(summary: &JsonValue, config: &str) -> Option<GateCheck> {
+    let configs = summary.get("configs")?.as_array()?;
+    let ok = named(configs, "config", config)?
+        .get("drift_ok")?
+        .as_bool()?;
+    Some(GateCheck::holds(format!("drift/{config}"), ok))
+}
+
+/// Checks over a `BENCH_summary.json` document on its own: every
+/// configuration's model-vs-observed drift must stay inside the
+/// campaign's tolerance. [`check_gate`] repeats these beside the
+/// baseline comparison.
+pub fn check_summary(summary_json: &str) -> Result<Vec<GateCheck>, String> {
+    let summary = parse_doc("summary", crate::sweep::SUMMARY_SCHEMA, summary_json)?;
+    Ok(config_names(&summary)
+        .iter()
+        .filter_map(|config| drift_check(&summary, config))
+        .collect())
+}
+
 /// Compare a current summary against the baseline.
 ///
 /// Fails with `Err` on malformed/mismatched documents; regressions are
@@ -115,51 +173,31 @@ pub fn check_gate(
     current_json: &str,
     threshold: f64,
 ) -> Result<GateReport, String> {
-    let baseline = parse_summary("baseline", baseline_json)?;
-    let current = parse_summary("current", current_json)?;
+    let baseline = parse_doc("baseline", crate::sweep::SUMMARY_SCHEMA, baseline_json)?;
+    let current = parse_doc("current", crate::sweep::SUMMARY_SCHEMA, current_json)?;
     let mut checks = Vec::new();
 
     for config in config_names(&baseline) {
         let Some(base) = config_field(&baseline, &config, "makespan_at_max") else {
             continue;
         };
-        match config_field(&current, &config, "makespan_at_max") {
-            Some(cur) => {
-                checks.push(GateCheck {
-                    what: format!("makespan/{config}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur <= base * (1.0 + threshold) + 1e-9,
-                });
-            }
-            None => {
-                // A configuration that vanished from the summary is a
-                // regression of coverage, not of speed.
-                checks.push(GateCheck {
-                    what: format!("makespan/{config} (missing)"),
-                    baseline: base,
-                    current: f64::NAN,
-                    ok: false,
-                });
-            }
-        }
-        let drift_ok = current
-            .get("configs")
-            .and_then(JsonValue::as_array)
-            .and_then(|cs| {
-                cs.iter()
-                    .find(|c| c.get("config").and_then(JsonValue::as_str) == Some(&*config))
-            })
-            .and_then(|c| c.get("drift_ok"))
-            .and_then(JsonValue::as_bool);
-        if let Some(ok) = drift_ok {
-            checks.push(GateCheck {
-                what: format!("drift/{config}"),
-                baseline: 1.0,
-                current: f64::from(u8::from(ok)),
-                ok,
-            });
-        }
+        checks.push(match config_field(&current, &config, "makespan_at_max") {
+            Some(cur) => GateCheck::new(
+                format!("makespan/{config}"),
+                base,
+                cur,
+                cur <= base * (1.0 + threshold) + 1e-9,
+            ),
+            // A configuration that vanished from the summary is a
+            // regression of coverage, not of speed.
+            None => GateCheck::new(
+                format!("makespan/{config} (missing)"),
+                base,
+                f64::NAN,
+                false,
+            ),
+        });
+        checks.extend(drift_check(&current, &config));
     }
 
     if let Some(JsonValue::Object(pairs)) = baseline.get("speedups") {
@@ -169,74 +207,63 @@ pub fn check_gate(
                 .get("speedups")
                 .and_then(|s| s.get(name))
                 .and_then(JsonValue::as_f64);
-            match cur {
-                Some(cur) => checks.push(GateCheck {
-                    what: format!("speedup/{name}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur >= base * (1.0 - threshold) - 1e-9,
-                }),
-                None => checks.push(GateCheck {
-                    what: format!("speedup/{name} (missing)"),
-                    baseline: base,
-                    current: f64::NAN,
-                    ok: false,
-                }),
-            }
+            checks.push(match cur {
+                Some(cur) => GateCheck::new(
+                    format!("speedup/{name}"),
+                    base,
+                    cur,
+                    cur >= base * (1.0 - threshold) - 1e-9,
+                ),
+                None => GateCheck::new(format!("speedup/{name} (missing)"), base, f64::NAN, false),
+            });
         }
     }
 
     Ok(GateReport { threshold, checks })
 }
 
+/// Checks over a `BENCH_warm.json` document (schema
+/// `moteur-bench/warm/v1`): the cold run must agree with eqs. 1–4 and
+/// the warm run must find every invocation in the data manager.
+pub fn check_warm(warm_json: &str) -> Result<Vec<GateCheck>, String> {
+    let value = parse_doc("warm", crate::warm::WARM_SCHEMA, warm_json)?;
+    let drift_ok = value
+        .get("drift_ok")
+        .and_then(JsonValue::as_bool)
+        .ok_or("warm: missing `drift_ok`")?;
+    let misses = number("warm", &value, "cache_misses")?;
+    Ok(vec![
+        GateCheck::holds("warm/cold_drift", drift_ok),
+        GateCheck::new("warm/cache_misses", 0.0, misses, misses == 0.0),
+    ])
+}
+
 /// Checks over a `BENCH_faults.json` document (schema
 /// `moteur-bench/faults/v1`): timeout+replication must beat naive
 /// resubmission on mean makespan, and no strategy may have quarantined
-/// an item. Returned as [`GateCheck`]s so the binary can fold them into
-/// the same report as the baseline comparison.
+/// an item.
 pub fn check_faults(faults_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(faults_json).map_err(|e| format!("faults: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::faults::FAULTS_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "faults: schema `{other}`, expected `{}`",
-                crate::faults::FAULTS_SCHEMA
-            ))
-        }
-        None => return Err("faults: missing schema tag".to_string()),
-    }
-    let strategies = value
-        .get("strategies")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "faults: missing strategies array".to_string())?;
-    let mean = |name: &str| -> Option<f64> {
-        strategies
-            .iter()
-            .find(|s| s.get("strategy").and_then(JsonValue::as_str) == Some(name))?
-            .get("mean_makespan_secs")?
-            .as_f64()
+    let value = parse_doc("faults", crate::faults::FAULTS_SCHEMA, faults_json)?;
+    let strategies = items("faults", &value, "strategies")?;
+    let mean = |name: &str| -> Result<f64, String> {
+        named(strategies, "strategy", name)
+            .and_then(|s| s.get("mean_makespan_secs")?.as_f64())
+            .ok_or_else(|| format!("faults: missing `{name}` strategy"))
     };
-    let naive = mean("naive").ok_or_else(|| "faults: missing `naive` strategy".to_string())?;
-    let replication = mean("timeout+replication")
-        .ok_or_else(|| "faults: missing `timeout+replication` strategy".to_string())?;
+    let naive = mean("naive")?;
+    let replication = mean("timeout+replication")?;
     let quarantined: f64 = strategies
         .iter()
         .filter_map(|s| s.get("quarantined").and_then(JsonValue::as_f64))
         .sum();
     Ok(vec![
-        GateCheck {
-            what: "faults/replication_vs_naive".to_string(),
-            baseline: naive,
-            current: replication,
-            ok: replication < naive,
-        },
-        GateCheck {
-            what: "faults/quarantined".to_string(),
-            baseline: 0.0,
-            current: quarantined,
-            ok: quarantined == 0.0,
-        },
+        GateCheck::new(
+            "faults/replication_vs_naive",
+            naive,
+            replication,
+            replication < naive,
+        ),
+        GateCheck::new("faults/quarantined", 0.0, quarantined, quarantined == 0.0),
     ])
 }
 
@@ -258,46 +285,31 @@ pub const DAEMON_TTFJ_P99_CEILING_SECS: f64 = 600.0;
 /// [`DAEMON_HIT_RATIO_FLOOR`], and the p99 time-to-first-job must stay
 /// under [`DAEMON_TTFJ_P99_CEILING_SECS`].
 pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(daemon_json).map_err(|e| format!("daemon: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::daemon::DAEMON_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "daemon: schema `{other}`, expected `{}`",
-                crate::daemon::DAEMON_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("daemon: missing schema tag".to_string()),
-    }
-    let num = |field: &str| -> Result<f64, String> {
-        value
-            .get(field)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("daemon: missing `{field}`"))
-    };
+    let value = parse_doc("daemon", crate::daemon::DAEMON_BENCH_SCHEMA, daemon_json)?;
+    let num = |field: &str| number("daemon", &value, field);
     let n_workflows = num("n_workflows")?;
     let succeeded = num("succeeded")?;
     let hit_ratio = num("cross_tenant_hit_ratio")?;
     let ttfj_p99 = num("ttfj_p99_secs")?;
     Ok(vec![
-        GateCheck {
-            what: "daemon/completed".to_string(),
-            baseline: n_workflows,
-            current: succeeded,
-            ok: succeeded == n_workflows,
-        },
-        GateCheck {
-            what: "daemon/cross_tenant_hit_ratio".to_string(),
-            baseline: DAEMON_HIT_RATIO_FLOOR,
-            current: hit_ratio,
-            ok: hit_ratio >= DAEMON_HIT_RATIO_FLOOR,
-        },
-        GateCheck {
-            what: "daemon/ttfj_p99_secs".to_string(),
-            baseline: DAEMON_TTFJ_P99_CEILING_SECS,
-            current: ttfj_p99,
-            ok: ttfj_p99 <= DAEMON_TTFJ_P99_CEILING_SECS,
-        },
+        GateCheck::new(
+            "daemon/completed",
+            n_workflows,
+            succeeded,
+            succeeded == n_workflows,
+        ),
+        GateCheck::new(
+            "daemon/cross_tenant_hit_ratio",
+            DAEMON_HIT_RATIO_FLOOR,
+            hit_ratio,
+            hit_ratio >= DAEMON_HIT_RATIO_FLOOR,
+        ),
+        GateCheck::new(
+            "daemon/ttfj_p99_secs",
+            DAEMON_TTFJ_P99_CEILING_SECS,
+            ttfj_p99,
+            ttfj_p99 <= DAEMON_TTFJ_P99_CEILING_SECS,
+        ),
     ])
 }
 
@@ -307,25 +319,14 @@ pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
 /// `bytes_transferred`) and the loaded grid must be attributed to the
 /// CE batch queues.
 pub fn check_timeline(timeline_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(timeline_json).map_err(|e| format!("timeline: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::timeline::TIMELINE_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "timeline: schema `{other}`, expected `{}`",
-                crate::timeline::TIMELINE_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("timeline: missing schema tag".to_string()),
-    }
-    let scenarios = value
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "timeline: missing scenarios array".to_string())?;
+    let value = parse_doc(
+        "timeline",
+        crate::timeline::TIMELINE_BENCH_SCHEMA,
+        timeline_json,
+    )?;
+    let scenarios = items("timeline", &value, "scenarios")?;
     let scenario = |name: &str| -> Result<&JsonValue, String> {
-        scenarios
-            .iter()
-            .find(|s| s.get("scenario").and_then(JsonValue::as_str) == Some(name))
+        named(scenarios, "scenario", name)
             .ok_or_else(|| format!("timeline: missing `{name}` scenario"))
     };
     let field = |s: &JsonValue, name: &str| -> f64 {
@@ -337,18 +338,13 @@ pub fn check_timeline(timeline_json: &str) -> Result<Vec<GateCheck>, String> {
     let timeline_bytes = field(ideal, "timeline_link_bytes");
     let queue_verdict = loaded.get("verdict").and_then(JsonValue::as_str) == Some("queue-wait");
     Ok(vec![
-        GateCheck {
-            what: "timeline/ideal_byte_accounting".to_string(),
-            baseline: enactor_bytes,
-            current: timeline_bytes,
-            ok: enactor_bytes > 0.0 && timeline_bytes == enactor_bytes,
-        },
-        GateCheck {
-            what: "timeline/loaded_queue_verdict".to_string(),
-            baseline: 1.0,
-            current: f64::from(u8::from(queue_verdict)),
-            ok: queue_verdict,
-        },
+        GateCheck::new(
+            "timeline/ideal_byte_accounting",
+            enactor_bytes,
+            timeline_bytes,
+            enactor_bytes > 0.0 && timeline_bytes == enactor_bytes,
+        ),
+        GateCheck::holds("timeline/loaded_queue_verdict", queue_verdict),
     ])
 }
 
@@ -358,21 +354,8 @@ pub fn check_timeline(timeline_json: &str) -> Result<Vec<GateCheck>, String> {
 /// totals, and the planner's site partition must beat centralized
 /// routing on the data-heavy bronze variant in its own cost model.
 pub fn check_plan(plan_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(plan_json).map_err(|e| format!("plan: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::plan::PLAN_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "plan: schema `{other}`, expected `{}`",
-                crate::plan::PLAN_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("plan: missing schema tag".to_string()),
-    }
-    let scenarios = value
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "plan: missing scenarios array".to_string())?;
+    let value = parse_doc("plan", crate::plan::PLAN_BENCH_SCHEMA, plan_json)?;
+    let scenarios = items("plan", &value, "scenarios")?;
     if scenarios.is_empty() {
         return Err("plan: empty scenarios array".to_string());
     }
@@ -381,33 +364,27 @@ pub fn check_plan(plan_json: &str) -> Result<Vec<GateCheck>, String> {
         let name = s
             .get("scenario")
             .and_then(JsonValue::as_str)
-            .ok_or_else(|| "plan: scenario without a name".to_string())?;
+            .ok_or("plan: scenario without a name")?;
         let contained = s.get("all_contained").and_then(JsonValue::as_bool) == Some(true);
         let edges = s
             .get("edges")
             .and_then(JsonValue::as_array)
-            .map_or(0, <[JsonValue]>::len);
-        checks.push(GateCheck {
-            what: format!("plan/{name}_containment"),
-            baseline: edges as f64,
-            current: f64::from(u8::from(contained)) * edges as f64,
-            ok: contained,
-        });
+            .map_or(0, <[JsonValue]>::len) as f64;
+        checks.push(GateCheck::new(
+            format!("plan/{name}_containment"),
+            edges,
+            f64::from(u8::from(contained)) * edges,
+            contained,
+        ));
     }
-    let centralized = value
-        .get("heavy_centralized_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| "plan: missing heavy_centralized_secs".to_string())?;
-    let partitioned = value
-        .get("heavy_partitioned_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| "plan: missing heavy_partitioned_secs".to_string())?;
-    checks.push(GateCheck {
-        what: "plan/partition_advantage".to_string(),
-        baseline: centralized,
-        current: partitioned,
-        ok: partitioned < centralized,
-    });
+    let centralized = number("plan", &value, "heavy_centralized_secs")?;
+    let partitioned = number("plan", &value, "heavy_partitioned_secs")?;
+    checks.push(GateCheck::new(
+        "plan/partition_advantage",
+        centralized,
+        partitioned,
+        partitioned < centralized,
+    ));
     Ok(checks)
 }
 
@@ -428,23 +405,8 @@ pub fn check_scale(
     baseline_json: Option<&str>,
     threshold: f64,
 ) -> Result<Vec<GateCheck>, String> {
-    let parse = |label: &str, json: &str| -> Result<JsonValue, String> {
-        let value = JsonValue::parse(json).map_err(|e| format!("scale {label}: {e}"))?;
-        match value.get("schema").and_then(JsonValue::as_str) {
-            Some(crate::scale::SCALE_SCHEMA) => Ok(value),
-            Some(other) => Err(format!(
-                "scale {label}: schema `{other}`, expected `{}`",
-                crate::scale::SCALE_SCHEMA
-            )),
-            None => Err(format!("scale {label}: missing schema tag")),
-        }
-    };
-    let current = parse("current", scale_json)?;
-    let field = |doc: &JsonValue, name: &str| -> Result<f64, String> {
-        doc.get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("scale: missing `{name}`"))
-    };
+    let current = parse_doc("scale current", crate::scale::SCALE_SCHEMA, scale_json)?;
+    let field = |doc: &JsonValue, name: &str| number("scale", doc, name);
     let target = field(&current, "target_events")?;
     let events = field(&current, "events_processed")?;
     let enact_target = field(&current, "enact_jobs")?;
@@ -452,49 +414,44 @@ pub fn check_scale(
     let events_per_sec = field(&current, "events_per_sec")?;
     let jobs_per_sec = field(&current, "jobs_per_sec")?;
     let mut checks = vec![
-        GateCheck {
-            what: "scale/events_target".to_string(),
-            baseline: target,
-            current: events,
-            ok: events >= target,
-        },
-        GateCheck {
-            what: "scale/jobs_target".to_string(),
-            baseline: enact_target,
-            current: jobs,
-            ok: jobs >= enact_target,
-        },
-        GateCheck {
-            what: "scale/throughput_positive".to_string(),
-            baseline: 0.0,
-            current: events_per_sec.min(jobs_per_sec),
-            ok: events_per_sec > 0.0 && jobs_per_sec > 0.0,
-        },
+        GateCheck::new("scale/events_target", target, events, events >= target),
+        GateCheck::new(
+            "scale/jobs_target",
+            enact_target,
+            jobs,
+            jobs >= enact_target,
+        ),
+        GateCheck::new(
+            "scale/throughput_positive",
+            0.0,
+            events_per_sec.min(jobs_per_sec),
+            events_per_sec > 0.0 && jobs_per_sec > 0.0,
+        ),
     ];
     let alloc_installed = current.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true);
     if alloc_installed {
         let allocs_per_event = field(&current, "allocs_per_event")?;
-        checks.push(GateCheck {
-            what: "scale/allocs_per_event_budget".to_string(),
-            baseline: crate::scale::ALLOCS_PER_EVENT_BUDGET,
-            current: allocs_per_event,
-            ok: allocs_per_event <= crate::scale::ALLOCS_PER_EVENT_BUDGET,
-        });
+        checks.push(GateCheck::new(
+            "scale/allocs_per_event_budget",
+            crate::scale::ALLOCS_PER_EVENT_BUDGET,
+            allocs_per_event,
+            allocs_per_event <= crate::scale::ALLOCS_PER_EVENT_BUDGET,
+        ));
     }
     if let Some(baseline_json) = baseline_json {
-        let baseline = parse("baseline", baseline_json)?;
+        let baseline = parse_doc("scale baseline", crate::scale::SCALE_SCHEMA, baseline_json)?;
         let base_installed =
             baseline.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true);
         if alloc_installed && base_installed {
             for name in ["allocs_per_event", "peak_alloc_bytes"] {
                 let base = field(&baseline, name)?;
                 let cur = field(&current, name)?;
-                checks.push(GateCheck {
-                    what: format!("scale/{name}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur <= base * (1.0 + threshold) + 1e-9,
-                });
+                checks.push(GateCheck::new(
+                    format!("scale/{name}"),
+                    base,
+                    cur,
+                    cur <= base * (1.0 + threshold) + 1e-9,
+                ));
             }
         }
     }
@@ -513,55 +470,42 @@ pub fn check_scale(
 /// [`crate::stream::EAGER_UNDERCUT_FACTOR`]. Together these pin the
 /// O(port-capacity)-not-O(n-items) memory claim on any machine.
 pub fn check_stream(stream_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(stream_json).map_err(|e| format!("stream: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::stream::STREAM_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "stream: schema `{other}`, expected `{}`",
-                crate::stream::STREAM_SCHEMA
-            ))
-        }
-        None => return Err("stream: missing schema tag".to_string()),
-    }
-    let field = |name: &str| -> Result<f64, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("stream: missing `{name}`"))
-    };
+    let value = parse_doc("stream", crate::stream::STREAM_SCHEMA, stream_json)?;
+    let field = |name: &str| number("stream", &value, name);
     let n_items = field("n_items")?;
     let completed = field("items_completed")?;
     let items_per_sec = field("items_per_sec")?;
     let mut checks = vec![
-        GateCheck {
-            what: "stream/items_completed".to_string(),
-            baseline: n_items,
-            current: completed,
-            ok: completed >= n_items,
-        },
-        GateCheck {
-            what: "stream/throughput_positive".to_string(),
-            baseline: 0.0,
-            current: items_per_sec,
-            ok: items_per_sec > 0.0,
-        },
+        GateCheck::new(
+            "stream/items_completed",
+            n_items,
+            completed,
+            completed >= n_items,
+        ),
+        GateCheck::new(
+            "stream/throughput_positive",
+            0.0,
+            items_per_sec,
+            items_per_sec > 0.0,
+        ),
     ];
     if value.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true) {
         let pipeline_peak = field("pipeline_peak_bytes")?;
         let projected = field("eager_projected_bytes")?;
-        checks.push(GateCheck {
-            what: "stream/pipeline_peak_budget".to_string(),
-            baseline: crate::stream::PIPELINE_PEAK_BUDGET as f64,
-            current: pipeline_peak,
-            ok: pipeline_peak <= crate::stream::PIPELINE_PEAK_BUDGET as f64,
-        });
-        checks.push(GateCheck {
-            what: "stream/undercuts_eager_projection".to_string(),
-            baseline: projected,
-            current: pipeline_peak * crate::stream::EAGER_UNDERCUT_FACTOR,
-            ok: pipeline_peak * crate::stream::EAGER_UNDERCUT_FACTOR <= projected,
-        });
+        let budget = crate::stream::PIPELINE_PEAK_BUDGET as f64;
+        let undercut = pipeline_peak * crate::stream::EAGER_UNDERCUT_FACTOR;
+        checks.push(GateCheck::new(
+            "stream/pipeline_peak_budget",
+            budget,
+            pipeline_peak,
+            pipeline_peak <= budget,
+        ));
+        checks.push(GateCheck::new(
+            "stream/undercuts_eager_projection",
+            projected,
+            undercut,
+            undercut <= projected,
+        ));
     }
     Ok(checks)
 }
@@ -960,5 +904,36 @@ mod tests {
         let bad = baseline.replacen("moteur-bench/summary/v1", "other/v9", 1);
         assert!(check_gate(&bad, &baseline, DEFAULT_THRESHOLD).is_err());
         assert!(check_gate(&baseline, "{", DEFAULT_THRESHOLD).is_err());
+    }
+
+    #[test]
+    fn summary_check_is_the_drift_half_of_the_gate() {
+        let json = summary_json();
+        let checks = check_summary(&json).unwrap();
+        assert_eq!(checks.len(), 6, "{checks:?}");
+        assert!(checks.iter().all(|c| c.ok && c.what.starts_with("drift/")));
+        let drifted = json.replacen("\"drift_ok\":true", "\"drift_ok\":false", 1);
+        let checks = check_summary(&drifted).unwrap();
+        assert_eq!(checks.iter().filter(|c| !c.ok).count(), 1, "{checks:?}");
+        assert!(check_summary("{\"schema\":\"other/v1\"}").is_err());
+    }
+
+    #[test]
+    fn warm_gate_requires_no_drift_and_no_misses() {
+        let doc = |drift_ok: bool, misses: u64| {
+            format!(
+                "{{\"schema\":\"moteur-bench/warm/v1\",\"n_data\":6,\
+                 \"drift_ok\":{drift_ok},\"cache_hits\":30,\"cache_misses\":{misses}}}"
+            )
+        };
+        let checks = check_warm(&doc(true, 0)).unwrap();
+        assert_eq!(checks.len(), 2, "{checks:?}");
+        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
+        let checks = check_warm(&doc(false, 0)).unwrap();
+        assert!(!checks[0].ok && checks[1].ok, "{checks:?}");
+        let checks = check_warm(&doc(true, 1)).unwrap();
+        assert!(checks[0].ok && !checks[1].ok, "{checks:?}");
+        assert!(check_warm("{\"schema\":\"other/v1\"}").is_err());
+        assert!(check_warm("{").is_err());
     }
 }

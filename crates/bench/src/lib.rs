@@ -1,9 +1,10 @@
 //! # moteur-bench
 //!
 //! Experiment harnesses reproducing every table and figure of the
-//! paper's evaluation (see `DESIGN.md` §5 for the experiment index):
+//! paper's evaluation (see `DESIGN.md` §5 for the experiment index),
+//! all behind one binary, `moteur-bench <subcommand>` ([`figures`]):
 //!
-//! | binary | regenerates |
+//! | subcommand | regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — execution times per configuration × data-set size |
 //! | `table2` | Table 2 — y-intercept and slope of the fitted lines |
@@ -11,51 +12,35 @@
 //! | `diagrams` | Figures 4, 5 and 6 — execution diagrams |
 //! | `theory` | §3.5 — model-vs-enactor asymptotic speed-ups |
 //! | `speedups` | §5.2/§5.3 — speed-ups and slope / y-intercept ratios |
+//! | `ablation` | extension — SP speed-up vs grid-overhead variability |
+//! | `granularity` | §5.4 extension — batch size vs the model's optimum |
 //!
-//! The `moteur-bench` binary itself (`src/main.rs`) drives the perf
-//! observatory: `campaign` sweeps the six configurations over a range
-//! of campaign sizes and writes `BENCH_point.json`/`BENCH_summary.json`
-//! ([`sweep`]); `gate` compares a summary against the committed
-//! baseline and fails CI on regressions ([`gate`]).
+//! The same binary (`src/main.rs`) drives the perf observatory. Each
+//! campaign subcommand writes one BENCH document and exits on that
+//! document's check in [`gate`]; `moteur-bench gate` re-applies the
+//! same checks and compares the summary (and scale) documents against
+//! their committed baselines:
 //!
-//! The library half hosts the Fig. 9 Bronze-Standard workflow
+//! | subcommand | document | module |
+//! |---|---|---|
+//! | `campaign` | `BENCH_summary.json` (+ `BENCH_point.json`): the six configurations over a range of sizes | [`sweep`] |
+//! | `faults` | `BENCH_faults.json`: naive vs backoff vs timeout+replication on an unreliable grid | [`faults`] |
+//! | `timeline` | `BENCH_timeline.json`: byte accounting and the bottleneck verdict, ideal and queue-saturated | [`timeline`] |
+//! | `plan` | `BENCH_plan.json`: static per-edge byte bounds vs observed staging | [`plan`] |
+//! | `daemon` | `BENCH_daemon.json`: a multi-tenant submission wave over one shared memo table | [`daemon`] |
+//! | `scale` | `BENCH_scale.json`: a million simulator events and ten thousand jobs, self-profiled | [`scale`] |
+//! | `stream` | `BENCH_stream.json`: a million-item stream through bounded ports | [`stream`] |
+//! | `warm` | `BENCH_warm.json`: one campaign cold, then warm against the same data manager | [`warm`] |
+//!
+//! The library half also hosts the Fig. 9 Bronze-Standard workflow
 //! ([`bronze`]) and the campaign runner ([`campaign`]) shared by the
-//! binaries, the integration tests and the examples.
-
-//! `moteur-bench warm` runs the same campaign twice against one
-//! provenance-keyed data manager and documents the cold-vs-warm
-//! speed-up in `BENCH_warm.json` ([`warm`]).
-//!
-//! `moteur-bench faults` enacts the campaign on an unreliable grid
-//! under three fault-tolerance strategies (naive, backoff,
-//! timeout+replication) and writes the comparison to
-//! `BENCH_faults.json` ([`faults`]).
-//!
-//! `moteur-bench timeline` enacts the campaign with the telemetry
-//! pipeline attached in two regimes (ideal byte-accounting,
-//! queue-saturated `egee_2006`) and writes peak queue depth, transfer
-//! bytes and the bottleneck verdict to `BENCH_timeline.json`
-//! ([`timeline`]).
-//!
-//! `moteur-bench daemon` drives the multi-tenant enactment daemon
-//! through a concurrent submission wave against one shared memo table
-//! and writes sustained throughput, time-to-first-job percentiles and
-//! the cross-tenant cache-hit ratio to `BENCH_daemon.json` ([`daemon`]).
-//!
-//! `moteur-bench scale` drives the simulator through a million events
-//! and the enactor through ten thousand jobs with the self-profiler
-//! attached, and writes host throughput, allocation rates and
-//! per-subsystem wall fractions to `BENCH_scale.json` ([`scale`]).
-//!
-//! `moteur-bench stream` pushes a million-item stream through a
-//! bounded-port service chain and writes throughput plus the
-//! O(port-capacity) pipeline memory high-water mark (versus the eager
-//! per-item projection) to `BENCH_stream.json` ([`stream`]).
+//! subcommands, the integration tests and the examples.
 
 pub mod bronze;
 pub mod campaign;
 pub mod daemon;
 pub mod faults;
+pub mod figures;
 pub mod gate;
 pub mod plan;
 pub mod scale;
@@ -69,29 +54,3 @@ pub use bronze::{
     bronze_workflow, bronze_workflow_xml, IMAGE_BYTES,
 };
 pub use campaign::{run_campaign, run_point, CampaignPoint, PAPER_SIZES, QUICK_SIZES};
-pub use daemon::{
-    render_daemon, render_daemon_json, run_daemon_campaign, DaemonReport, TenantRow,
-    DAEMON_BENCH_SCHEMA,
-};
-pub use faults::{
-    render_faults, render_faults_json, run_faults, FaultStrategy, FaultsReport, FaultsSpec,
-    StrategyOutcome, FAULTS_SCHEMA,
-};
-pub use gate::{check_gate, GateCheck, GateReport, DEFAULT_THRESHOLD};
-pub use plan::{
-    render_plan_bench, render_plan_bench_json, run_plan_bench, PlanBenchReport, PlanSpec,
-    PLAN_BENCH_SCHEMA,
-};
-pub use scale::{
-    render_scale, render_scale_json, run_scale, ScaleReport, ScaleSpec, SubsystemShare,
-    ALLOCS_PER_EVENT_BUDGET, SCALE_SCHEMA,
-};
-pub use stream::{
-    render_stream, render_stream_json, run_stream, StreamReport, StreamSpec, EAGER_UNDERCUT_FACTOR,
-    PIPELINE_PEAK_BUDGET, STREAM_SCHEMA,
-};
-pub use sweep::{
-    render_points_json, render_summary, render_summary_json, run_sweep, BenchPoint, BenchSummary,
-    ConfigSummary, SweepGrid, SweepSpec, SweepWorkflow, POINT_SCHEMA, SUMMARY_SCHEMA,
-};
-pub use warm::{render_warm, render_warm_json, run_warm_pair, WarmReport, WARM_SCHEMA};

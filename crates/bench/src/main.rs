@@ -1,70 +1,26 @@
-//! `moteur-bench` — the perf observatory's campaign and regression-gate
-//! driver.
+//! `moteur-bench` — the paper's tables and figures, the perf
+//! observatory's campaigns and the regression gate, as subcommands of
+//! one binary. Run it without arguments for the usage.
 //!
-//! ```text
-//! moteur-bench campaign [--sweep ndata=1..6] [--seed N]
-//!                       [--workflow chain|bronze] [--grid ideal|egee]
-//!                       [--overhead SECS] [--tolerance FRAC]
-//!                       [--out-dir DIR]
-//! moteur-bench gate [--summary PATH] [--baseline PATH] [--threshold FRAC]
-//!                   [--faults PATH] [--timeline PATH] [--plan PATH]
-//!                   [--scale PATH] [--scale-baseline PATH] [--daemon PATH]
-//!                   [--stream PATH]
-//! moteur-bench warm [--ndata N] [--seed N] [--out-dir DIR]
-//! moteur-bench faults [--ndata N] [--seed N] [--repeats R]
-//!                     [--failure-probability P] [--out-dir DIR]
-//! moteur-bench timeline [--ideal-ndata N] [--loaded-ndata N] [--seed N]
-//!                       [--out-dir DIR]
-//! moteur-bench plan [--ndata N] [--seed N] [--out-dir DIR]
-//! moteur-bench scale [--events N] [--jobs N] [--seed N] [--out-dir DIR]
-//! moteur-bench stream [--items N] [--capacity N] [--eager-items N]
-//!                     [--seed N] [--out-dir DIR]
-//! moteur-bench daemon [--workflows N] [--tenants N] [--ndata N]
-//!                     [--out-dir DIR]
-//! ```
-//!
-//! `campaign` runs the six Table-1 configurations over the sweep and
-//! writes `BENCH_point.json` (raw cells) and `BENCH_summary.json`
-//! (fits, drift, speed-ups) into `--out-dir` (default: the current
-//! directory). `gate` compares a summary against the committed baseline
-//! and exits non-zero on regression; setting
-//! `MOTEUR_BENCH_UPDATE_BASELINE=1` rewrites the baseline from the
-//! current summary instead (use after an intentional perf change).
-//! `warm` enacts one campaign twice against a shared data manager and
-//! writes the cold-vs-warm comparison to `BENCH_warm.json`.
-//! `faults` enacts the campaign on an unreliable grid under the three
-//! fault-tolerance strategies and writes `BENCH_faults.json`, exiting
-//! non-zero unless timeout+replication beats the naive strategy.
-//! `timeline` enacts the campaign with the telemetry pipeline attached
-//! (ideal and queue-saturated regimes) and writes
-//! `BENCH_timeline.json`, exiting non-zero unless the byte accounting
-//! reconciles and the loaded regime is attributed to the CE queues.
-//! `plan` checks `moteur plan`'s static per-edge byte bounds against
-//! the enactor's observed per-port staging and writes
-//! `BENCH_plan.json`, exiting non-zero unless every interval contains
-//! the observed bytes and the site partition beats centralized routing
-//! on the data-heavy bronze variant.
-//! `daemon` submits a concurrent wave of identical Bronze-Standard
-//! chains across several tenants of one enactment daemon sharing a
-//! memo table, and writes throughput, time-to-first-job percentiles
-//! and the cross-tenant cache-hit ratio to `BENCH_daemon.json`,
-//! exiting non-zero unless every submission succeeds and the wave
-//! reuses ≥ 90% of the seed tenant's derivations.
-//! `scale` pushes the simulator through a million events and the
-//! enactor through ten thousand jobs with the self-profiler attached
-//! and writes `BENCH_scale.json` (throughput, allocations per event,
-//! peak live bytes, per-subsystem wall shares), exiting non-zero when
-//! a target is missed or the allocation budget is blown.
-//! `stream` pushes a million-item stream through a bounded-port chain
-//! and writes `BENCH_stream.json` (throughput, input vs pipeline peak
-//! bytes, the eager projection), exiting non-zero unless the pipeline
-//! high-water mark stays O(port-capacity).
+//! Every campaign is one row of [`CAMPAIGNS`]: its subcommand, the BENCH
+//! document it writes into `--out-dir` (default: the current
+//! directory), a run function from the parsed flags to (human text,
+//! JSON), and the document's single pass check from
+//! [`moteur_bench::gate`]. The subcommand exits on that check applied
+//! to the JSON it just wrote; `gate` applies the same checks to the
+//! documents it finds, and compares the summary (and scale) documents
+//! against their committed baselines. Setting
+//! `MOTEUR_BENCH_UPDATE_BASELINE=1` makes `gate` rewrite those
+//! baselines from the current documents instead (use after an
+//! intentional perf change). The paper's figures ([`FIGURES`]) print
+//! text only.
 
 use moteur_bench::daemon::{render_daemon, render_daemon_json, run_daemon_campaign};
 use moteur_bench::faults::{render_faults, render_faults_json, run_faults, FaultsSpec};
+use moteur_bench::figures;
 use moteur_bench::gate::{
-    check_daemon, check_faults, check_gate, check_plan, check_scale, check_stream, check_timeline,
-    DEFAULT_THRESHOLD,
+    check_daemon, check_faults, check_gate, check_plan, check_scale, check_stream, check_summary,
+    check_timeline, check_warm, render_checks, GateCheck, DEFAULT_THRESHOLD,
 };
 use moteur_bench::plan::{render_plan_bench, render_plan_bench_json, run_plan_bench, PlanSpec};
 use moteur_bench::scale::{render_scale, render_scale_json, run_scale, ScaleSpec};
@@ -77,6 +33,7 @@ use moteur_bench::timeline::{render_timeline, render_timeline_json, run_timeline
 use moteur_bench::warm::{render_warm, render_warm_json, run_warm_pair};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The scale campaign reports real allocation counts and the live-heap
 /// high-water mark, so this binary routes every allocation through the
@@ -84,40 +41,296 @@ use std::process::ExitCode;
 #[global_allocator]
 static ALLOC: moteur_prof::alloc::CountingAlloc = moteur_prof::alloc::CountingAlloc;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Why a subcommand stopped.
+enum Error {
+    /// A malformed command line (exit 2).
+    Usage(String),
+    /// The work itself failed (exit 1).
+    Failed(String),
 }
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("moteur-bench: {msg}");
-    ExitCode::FAILURE
+impl<E: std::fmt::Display> From<E> for Error {
+    fn from(e: E) -> Self {
+        Error::Failed(e.to_string())
+    }
 }
+
+/// The arguments after the subcommand: `--flag VALUE` pairs and bare
+/// switches. A flag given without a value counts as absent.
+struct Flags<'a>(&'a [String]);
+
+impl Flags<'_> {
+    fn str(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .position(|a| a == flag)
+            .and_then(|i| self.0.get(i + 1))
+            .map(String::as_str)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|a| a == flag)
+    }
+
+    /// `flag`'s value, or `default` when absent; a value that does not
+    /// parse or fails `valid` is a usage error saying it `needs` more.
+    fn parse<T: FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        needs: &str,
+        valid: fn(&T) -> bool,
+    ) -> Result<T, Error> {
+        let Some(text) = self.str(flag) else {
+            return Ok(default);
+        };
+        match text.parse() {
+            Ok(v) if valid(&v) => Ok(v),
+            _ => Err(Error::Usage(format!("{flag} needs {needs}"))),
+        }
+    }
+
+    fn positive<T: FromStr + PartialOrd + Default>(
+        &self,
+        flag: &str,
+        default: T,
+    ) -> Result<T, Error> {
+        self.parse(flag, default, "a positive integer", |n| *n > T::default())
+    }
+
+    fn seed(&self, default: u64) -> Result<u64, Error> {
+        self.parse("--seed", default, "an integer", |_| true)
+    }
+
+    fn out_dir(&self) -> &Path {
+        Path::new(self.str("--out-dir").unwrap_or("."))
+    }
+}
+
+/// One campaign: a subcommand that writes one BENCH document and
+/// passes or fails on that document's check.
+struct Campaign {
+    name: &'static str,
+    synopsis: &'static str,
+    /// The document, written into `--out-dir`.
+    file: &'static str,
+    /// The `gate` flag that names this document, when it has one; the
+    /// gate otherwise reads `file` from the current directory if present.
+    gate_flag: Option<&'static str>,
+    run: fn(&Flags) -> Result<(String, String), Error>,
+    check: fn(&str) -> Result<Vec<GateCheck>, String>,
+}
+
+/// Every campaign, in the order `gate` reports them. The first row's
+/// summary is the gate's mandatory document.
+const CAMPAIGNS: &[Campaign] = &[
+    Campaign {
+        name: "campaign",
+        synopsis: "[--sweep ndata=1..6] [--seed N] [--workflow chain|bronze]\n\
+                   [--grid ideal|egee] [--overhead SECS] [--tolerance FRAC] [--out-dir DIR]",
+        file: "BENCH_summary.json",
+        gate_flag: Some("--summary"),
+        run: campaign,
+        check: check_summary,
+    },
+    Campaign {
+        name: "faults",
+        synopsis: "[--ndata N] [--seed N] [--repeats R] [--failure-probability P]\n\
+                   [--out-dir DIR]",
+        file: "BENCH_faults.json",
+        gate_flag: Some("--faults"),
+        run: faults,
+        check: check_faults,
+    },
+    Campaign {
+        name: "timeline",
+        synopsis: "[--ideal-ndata N] [--loaded-ndata N] [--seed N] [--out-dir DIR]",
+        file: "BENCH_timeline.json",
+        gate_flag: Some("--timeline"),
+        run: timeline,
+        check: check_timeline,
+    },
+    Campaign {
+        name: "plan",
+        synopsis: "[--ndata N] [--seed N] [--out-dir DIR]",
+        file: "BENCH_plan.json",
+        gate_flag: Some("--plan"),
+        run: plan,
+        check: check_plan,
+    },
+    Campaign {
+        name: "daemon",
+        synopsis: "[--workflows N] [--tenants N] [--ndata N] [--out-dir DIR]",
+        file: "BENCH_daemon.json",
+        gate_flag: Some("--daemon"),
+        run: daemon,
+        check: check_daemon,
+    },
+    Campaign {
+        name: "scale",
+        synopsis: "[--events N] [--jobs N] [--seed N] [--out-dir DIR]",
+        file: "BENCH_scale.json",
+        gate_flag: Some("--scale"),
+        run: scale,
+        check: |json| check_scale(json, None, DEFAULT_THRESHOLD),
+    },
+    Campaign {
+        name: "stream",
+        synopsis: "[--items N] [--capacity N] [--eager-items N] [--seed N] [--out-dir DIR]",
+        file: "BENCH_stream.json",
+        gate_flag: Some("--stream"),
+        run: stream,
+        check: check_stream,
+    },
+    Campaign {
+        name: "warm",
+        synopsis: "[--ndata N] [--seed N] [--out-dir DIR]",
+        file: "BENCH_warm.json",
+        gate_flag: None,
+        run: warm,
+        check: check_warm,
+    },
+];
+
+const GATE_SYNOPSIS: &str = "[--summary PATH] [--baseline PATH] [--threshold FRAC]\n\
+                             [--faults PATH] [--timeline PATH] [--plan PATH] [--scale PATH]\n\
+                             [--scale-baseline PATH] [--daemon PATH] [--stream PATH]";
+
+/// One of the paper's tables or figures: a subcommand that prints text.
+struct Figure {
+    name: &'static str,
+    synopsis: &'static str,
+    run: fn(&Flags) -> Result<String, Error>,
+}
+
+/// `--quick`, `--seed` (default 2006) and `--repeats` of the
+/// campaign-driven figures.
+fn figure_args(f: &Flags, repeats: usize) -> Result<(bool, u64, usize), Error> {
+    Ok((
+        f.has("--quick"),
+        f.seed(2006)?,
+        f.positive("--repeats", repeats)?,
+    ))
+}
+
+const FIGURES: &[Figure] = &[
+    Figure {
+        name: "table1",
+        synopsis: "[--quick] [--seed N] [--repeats N]",
+        run: |f| figure_args(f, 1).map(|(q, seed, n)| figures::table1(q, seed, n)),
+    },
+    Figure {
+        name: "table2",
+        synopsis: "[--quick] [--seed N] [--repeats N]",
+        run: |f| figure_args(f, 3).map(|(q, seed, n)| figures::table2(q, seed, n)),
+    },
+    Figure {
+        name: "fig10",
+        synopsis: "[--quick] [--seed N]",
+        run: |f| Ok(figures::fig10(f.has("--quick"), f.seed(2006)?)),
+    },
+    Figure {
+        name: "diagrams",
+        synopsis: "",
+        run: |_| Ok(figures::diagrams()),
+    },
+    Figure {
+        name: "theory",
+        synopsis: "",
+        run: |_| Ok(figures::theory()),
+    },
+    Figure {
+        name: "speedups",
+        synopsis: "[--quick] [--seed N] [--repeats N]",
+        run: |f| figure_args(f, 3).map(|(q, seed, n)| figures::speedups(q, seed, n)),
+    },
+    Figure {
+        name: "ablation",
+        synopsis: "[--quick]",
+        run: |f| Ok(figures::ablation(f.has("--quick"))),
+    },
+    Figure {
+        name: "granularity",
+        synopsis: "",
+        run: |_| Ok(figures::granularity()),
+    },
+];
 
 fn usage() -> ExitCode {
-    eprintln!("usage: moteur-bench campaign [--sweep ndata=1..6] [--seed N]");
-    eprintln!("                    [--workflow chain|bronze] [--grid ideal|egee]");
-    eprintln!("                    [--overhead SECS] [--tolerance FRAC] [--out-dir DIR]");
-    eprintln!("       moteur-bench gate [--summary PATH] [--baseline PATH] [--threshold FRAC]");
-    eprintln!("                    [--faults PATH] [--timeline PATH] [--plan PATH]");
-    eprintln!("                    [--scale PATH] [--scale-baseline PATH] [--daemon PATH]");
-    eprintln!("                    [--stream PATH]");
-    eprintln!("       moteur-bench warm [--ndata N] [--seed N] [--out-dir DIR]");
-    eprintln!("       moteur-bench faults [--ndata N] [--seed N] [--repeats R]");
-    eprintln!("                    [--failure-probability P] [--out-dir DIR]");
-    eprintln!("       moteur-bench timeline [--ideal-ndata N] [--loaded-ndata N] [--seed N]");
-    eprintln!("                    [--out-dir DIR]");
-    eprintln!("       moteur-bench plan [--ndata N] [--seed N] [--out-dir DIR]");
-    eprintln!("       moteur-bench scale [--events N] [--jobs N] [--seed N] [--out-dir DIR]");
-    eprintln!("       moteur-bench stream [--items N] [--capacity N] [--eager-items N]");
-    eprintln!("                    [--seed N] [--out-dir DIR]");
-    eprintln!("       moteur-bench daemon [--workflows N] [--tenants N] [--ndata N]");
-    eprintln!("                    [--out-dir DIR]");
+    let rows = CAMPAIGNS
+        .iter()
+        .map(|c| (c.name, c.synopsis))
+        .chain([("gate", GATE_SYNOPSIS)])
+        .chain(FIGURES.iter().map(|f| (f.name, f.synopsis)));
+    for (i, (name, synopsis)) in rows.enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        let synopsis = synopsis.replace('\n', "\n                    ");
+        let line = format!("{lead} moteur-bench {name} {synopsis}");
+        eprintln!("{}", line.trim_end());
+    }
     eprintln!();
-    eprintln!("env: MOTEUR_BENCH_UPDATE_BASELINE=1  rewrite the gate baseline and pass");
+    eprintln!("env: MOTEUR_BENCH_UPDATE_BASELINE=1  rewrite the gate baselines and pass");
     ExitCode::from(2)
+}
+
+fn write(path: &Path, json: &str) -> Result<(), String> {
+    std::fs::write(path, format!("{json}\n"))
+        .map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Run one campaign, write its document with the check's verdict as a
+/// trailing `"ok"`, and exit on that verdict.
+fn run_campaign(c: &Campaign, flags: &Flags) -> Result<ExitCode, Error> {
+    eprintln!("moteur-bench {}: running...", c.name);
+    let (text, json) = (c.run)(flags)?;
+    print!("{text}");
+    let checks = (c.check)(&json)?;
+    let ok = checks.iter().all(|check| check.ok);
+    let path = flags.out_dir().join(c.file);
+    let stamped = format!("{},\"ok\":{ok}}}", json.strip_suffix('}').unwrap_or(&json));
+    write(&path, &stamped)?;
+    println!("wrote {}", path.display());
+    print!("{}", render_checks(&format!("{} checks", c.name), &checks));
+    Ok(if ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("moteur-bench: {} failed its check (see above)", c.name);
+        ExitCode::FAILURE
+    })
+}
+
+fn campaign(flags: &Flags) -> Result<(String, String), Error> {
+    let sweep = flags.str("--sweep").unwrap_or("ndata=1..6");
+    let sizes = parse_sweep(sweep).ok_or_else(|| {
+        Error::Usage("--sweep needs `ndata=LO..HI` or `ndata=A,B,C` (all > 0)".into())
+    })?;
+    let mut spec = SweepSpec::new(sizes);
+    spec.seed = flags.seed(spec.seed)?;
+    if let Some(s) = flags.str("--workflow") {
+        spec.workflow = SweepWorkflow::parse(s)
+            .ok_or_else(|| Error::Usage(format!("unknown workflow `{s}` (chain|bronze)")))?;
+    }
+    if let Some(s) = flags.str("--grid") {
+        spec.grid = SweepGrid::parse(s)
+            .ok_or_else(|| Error::Usage(format!("unknown grid `{s}` (ideal|egee)")))?;
+    }
+    spec.overhead = flags.parse("--overhead", spec.overhead, "a number (seconds)", |_| true)?;
+    spec.tolerance = flags.parse(
+        "--tolerance",
+        spec.tolerance,
+        "a fraction (e.g. 0.05)",
+        |_| true,
+    )?;
+    let (points, summary) = run_sweep(&spec)?;
+    let point_path = flags.out_dir().join("BENCH_point.json");
+    write(&point_path, &render_points_json(&spec, &points))?;
+    let text = format!(
+        "{}wrote {} ({} points)\n",
+        render_summary(&summary),
+        point_path.display(),
+        points.len()
+    );
+    Ok((text, render_summary_json(&summary)))
 }
 
 /// Parse `ndata=1..6` / `1..6` / `ndata=2,4,8` into sizes.
@@ -138,523 +351,172 @@ fn parse_sweep(spec: &str) -> Option<Vec<usize>> {
     (!sizes.is_empty() && !sizes.contains(&0)).then_some(sizes)
 }
 
-fn cmd_campaign(args: &[String]) -> ExitCode {
-    let Some(sizes) = parse_sweep(flag_value(args, "--sweep").unwrap_or("ndata=1..6")) else {
-        return fail("--sweep needs `ndata=LO..HI` or `ndata=A,B,C` (all > 0)");
-    };
-    let mut spec = SweepSpec::new(sizes);
-    if let Some(s) = flag_value(args, "--seed") {
-        match s.parse() {
-            Ok(v) => spec.seed = v,
-            Err(_) => return fail("--seed needs an integer"),
-        }
-    }
-    if let Some(s) = flag_value(args, "--workflow") {
-        match SweepWorkflow::parse(s) {
-            Some(w) => spec.workflow = w,
-            None => return fail(format!("unknown workflow `{s}` (chain|bronze)")),
-        }
-    }
-    if let Some(s) = flag_value(args, "--grid") {
-        match SweepGrid::parse(s) {
-            Some(g) => spec.grid = g,
-            None => return fail(format!("unknown grid `{s}` (ideal|egee)")),
-        }
-    }
-    if let Some(s) = flag_value(args, "--overhead") {
-        match s.parse() {
-            Ok(v) => spec.overhead = v,
-            Err(_) => return fail("--overhead needs a number (seconds)"),
-        }
-    }
-    if let Some(s) = flag_value(args, "--tolerance") {
-        match s.parse() {
-            Ok(v) => spec.tolerance = v,
-            Err(_) => return fail("--tolerance needs a fraction (e.g. 0.05)"),
-        }
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "sweeping {} on the {} grid over n_data {:?}...",
-        spec.workflow.name(),
-        spec.grid.name(),
-        spec.sizes
-    );
-    let (points, summary) = match run_sweep(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_summary(&summary));
-
-    let point_path = out_dir.join("BENCH_point.json");
-    if let Err(e) = std::fs::write(&point_path, render_points_json(&spec, &points) + "\n") {
-        return fail(format!("writing {}: {e}", point_path.display()));
-    }
-    let summary_path = out_dir.join("BENCH_summary.json");
-    if let Err(e) = std::fs::write(&summary_path, render_summary_json(&summary) + "\n") {
-        return fail(format!("writing {}: {e}", summary_path.display()));
-    }
-    println!(
-        "wrote {} ({} points) and {}",
-        point_path.display(),
-        points.len(),
-        summary_path.display()
-    );
-    if summary.configs.iter().all(|c| c.drift_ok) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: model-vs-observed drift beyond tolerance (see summary)");
-        ExitCode::FAILURE
-    }
+fn warm(flags: &Flags) -> Result<(String, String), Error> {
+    let n_data = flags.positive("--ndata", 6)?;
+    let seed = flags.seed(2006)?;
+    let report = run_warm_pair(n_data, seed)?;
+    Ok((render_warm(&report), render_warm_json(&report)))
 }
 
-fn cmd_gate(args: &[String]) -> ExitCode {
-    let summary_path = flag_value(args, "--summary").unwrap_or("BENCH_summary.json");
-    let baseline_path = flag_value(args, "--baseline").unwrap_or("results/BENCH_baseline.json");
-    let threshold: f64 = match flag_value(args, "--threshold").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(DEFAULT_THRESHOLD),
-        Err(_) => return fail("--threshold needs a fraction (e.g. 0.10)"),
-    };
-    let current = match std::fs::read_to_string(summary_path) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("reading {summary_path}: {e}")),
-    };
-    let scale_path = flag_value(args, "--scale");
+fn faults(flags: &Flags) -> Result<(String, String), Error> {
+    let mut spec = FaultsSpec::default();
+    spec.n_data = flags.positive("--ndata", spec.n_data)?;
+    spec.seed = flags.seed(spec.seed)?;
+    spec.repeats = flags.positive("--repeats", spec.repeats)?;
+    spec.failure_probability = flags.parse(
+        "--failure-probability",
+        spec.failure_probability,
+        "a fraction in [0, 1]",
+        |p| (0.0..=1.0).contains(p),
+    )?;
+    let report = run_faults(&spec)?;
+    Ok((render_faults(&report), render_faults_json(&report)))
+}
+
+fn timeline(flags: &Flags) -> Result<(String, String), Error> {
+    let mut spec = TimelineSpec::default();
+    spec.ideal_n_data = flags.positive("--ideal-ndata", spec.ideal_n_data)?;
+    spec.loaded_n_data = flags.positive("--loaded-ndata", spec.loaded_n_data)?;
+    spec.seed = flags.seed(spec.seed)?;
+    let report = run_timeline(&spec)?;
+    Ok((render_timeline(&report), render_timeline_json(&report)))
+}
+
+fn plan(flags: &Flags) -> Result<(String, String), Error> {
+    let mut spec = PlanSpec::default();
+    spec.n_data = flags.positive("--ndata", spec.n_data)?;
+    spec.seed = flags.seed(spec.seed)?;
+    let report = run_plan_bench(&spec)?;
+    Ok((render_plan_bench(&report), render_plan_bench_json(&report)))
+}
+
+fn scale(flags: &Flags) -> Result<(String, String), Error> {
+    let mut spec = ScaleSpec::default();
+    spec.target_events = flags.positive("--events", spec.target_events)?;
+    spec.enact_jobs = flags.positive("--jobs", spec.enact_jobs)?;
+    spec.seed = flags.seed(spec.seed)?;
+    let report = run_scale(&spec)?;
+    Ok((render_scale(&report), render_scale_json(&report)))
+}
+
+fn stream(flags: &Flags) -> Result<(String, String), Error> {
+    let mut spec = StreamSpec::default();
+    spec.n_items = flags.positive("--items", spec.n_items)?;
+    spec.port_capacity = flags.positive("--capacity", spec.port_capacity)?;
+    spec.eager_items = flags.positive("--eager-items", spec.eager_items)?;
+    spec.seed = flags.seed(spec.seed)?;
+    let report = run_stream(&spec)?;
+    Ok((render_stream(&report), render_stream_json(&report)))
+}
+
+fn daemon(flags: &Flags) -> Result<(String, String), Error> {
+    let n_workflows = flags.positive("--workflows", 100)?;
+    let n_tenants = flags.positive("--tenants", 4)?;
+    let n_data = flags.positive("--ndata", 2)?;
+    let report = run_daemon_campaign(n_workflows, n_tenants, n_data)?;
+    Ok((render_daemon(&report), render_daemon_json(&report)))
+}
+
+/// Compare the summary against its baseline and fold in the check of
+/// every other campaign document that is around: named by its flag, or
+/// found under its default name in the current directory.
+fn gate(flags: &Flags) -> Result<ExitCode, Error> {
+    let summary = &CAMPAIGNS[0];
+    let summary_path = summary
+        .gate_flag
+        .and_then(|flag| flags.str(flag))
+        .unwrap_or(summary.file);
+    let baseline_path = flags
+        .str("--baseline")
+        .unwrap_or("results/BENCH_baseline.json");
+    let threshold = flags.parse(
+        "--threshold",
+        DEFAULT_THRESHOLD,
+        "a fraction (e.g. 0.10)",
+        |_| true,
+    )?;
+    let current = std::fs::read_to_string(summary_path)
+        .map_err(|e| format!("reading {summary_path}: {e}"))?;
+    let scale_path = flags.str("--scale");
     let scale_implicit = scale_path.is_none();
     let scale_path = scale_path.unwrap_or("BENCH_scale.json");
-    let scale_baseline_path =
-        flag_value(args, "--scale-baseline").unwrap_or("results/BENCH_scale_baseline.json");
+    let scale_baseline_path = flags
+        .str("--scale-baseline")
+        .unwrap_or("results/BENCH_scale_baseline.json");
     if std::env::var("MOTEUR_BENCH_UPDATE_BASELINE").as_deref() == Ok("1") {
-        if let Err(e) = std::fs::write(baseline_path, &current) {
-            return fail(format!("updating {baseline_path}: {e}"));
-        }
+        std::fs::write(baseline_path, &current)
+            .map_err(|e| format!("updating {baseline_path}: {e}"))?;
         println!("baseline {baseline_path} updated from {summary_path}");
         // Re-seed the scale baseline too when a fresh document is
         // around; its deterministic axes are machine-independent.
         match std::fs::read_to_string(scale_path) {
             Ok(scale) => {
-                if let Err(e) = std::fs::write(scale_baseline_path, &scale) {
-                    return fail(format!("updating {scale_baseline_path}: {e}"));
-                }
+                std::fs::write(scale_baseline_path, &scale)
+                    .map_err(|e| format!("updating {scale_baseline_path}: {e}"))?;
                 println!("baseline {scale_baseline_path} updated from {scale_path}");
             }
             Err(_) if scale_implicit => {}
-            Err(e) => return fail(format!("reading {scale_path}: {e}")),
+            Err(e) => return Err(format!("reading {scale_path}: {e}").into()),
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            return fail(format!(
-                "reading {baseline_path}: {e} (run with MOTEUR_BENCH_UPDATE_BASELINE=1 to seed it)"
-            ))
-        }
-    };
-    let mut report = match check_gate(&baseline, &current, threshold) {
-        Ok(report) => report,
-        Err(e) => return fail(e),
-    };
-    // Fold the fault-injection checks in when a faults document is
-    // around: explicitly via --faults, or implicitly when the default
-    // artifact sits next to the summary.
-    let faults_path = flag_value(args, "--faults");
-    let implicit = faults_path.is_none();
-    let faults_path = faults_path.unwrap_or("BENCH_faults.json");
-    match std::fs::read_to_string(faults_path) {
-        Ok(json) => match check_faults(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {faults_path}: {e}")),
-    }
-    // Same convention for the telemetry document.
-    let timeline_path = flag_value(args, "--timeline");
-    let implicit = timeline_path.is_none();
-    let timeline_path = timeline_path.unwrap_or("BENCH_timeline.json");
-    match std::fs::read_to_string(timeline_path) {
-        Ok(json) => match check_timeline(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {timeline_path}: {e}")),
-    }
-    // And for the static-planner document.
-    let plan_path = flag_value(args, "--plan");
-    let implicit = plan_path.is_none();
-    let plan_path = plan_path.unwrap_or("BENCH_plan.json");
-    match std::fs::read_to_string(plan_path) {
-        Ok(json) => match check_plan(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {plan_path}: {e}")),
-    }
-    // And for the daemon wave.
-    let daemon_path = flag_value(args, "--daemon");
-    let implicit = daemon_path.is_none();
-    let daemon_path = daemon_path.unwrap_or("BENCH_daemon.json");
-    match std::fs::read_to_string(daemon_path) {
-        Ok(json) => match check_daemon(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {daemon_path}: {e}")),
-    }
-    // And for the scale campaign, with its own committed baseline for
-    // the deterministic allocation axes.
-    match std::fs::read_to_string(scale_path) {
-        Ok(json) => {
+    let baseline = std::fs::read_to_string(baseline_path).map_err(|e| {
+        format!("reading {baseline_path}: {e} (run with MOTEUR_BENCH_UPDATE_BASELINE=1 to seed it)")
+    })?;
+    let mut report = check_gate(&baseline, &current, threshold)?;
+    for c in &CAMPAIGNS[1..] {
+        let explicit = c.gate_flag.and_then(|flag| flags.str(flag));
+        let path = explicit.unwrap_or(c.file);
+        let json = match std::fs::read_to_string(path) {
+            Ok(json) => json,
+            Err(_) if explicit.is_none() => continue,
+            Err(e) => return Err(format!("reading {path}: {e}").into()),
+        };
+        let checks = if c.name == "scale" {
+            // The deterministic allocation axes also compare against
+            // the committed scale baseline, when there is one.
             let scale_baseline = std::fs::read_to_string(scale_baseline_path).ok();
-            match check_scale(&json, scale_baseline.as_deref(), threshold) {
-                Ok(mut checks) => report.checks.append(&mut checks),
-                Err(e) => return fail(e),
-            }
-        }
-        Err(_) if scale_implicit => {}
-        Err(e) => return fail(format!("reading {scale_path}: {e}")),
-    }
-    // And for the streaming campaign (absolute checks only).
-    let stream_path = flag_value(args, "--stream");
-    let implicit = stream_path.is_none();
-    let stream_path = stream_path.unwrap_or("BENCH_stream.json");
-    match std::fs::read_to_string(stream_path) {
-        Ok(json) => match check_stream(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {stream_path}: {e}")),
+            check_scale(&json, scale_baseline.as_deref(), threshold)
+        } else {
+            (c.check)(&json)
+        };
+        report.checks.extend(checks?);
     }
     print!("{}", report.render());
-    if report.ok() {
+    Ok(if report.ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn cmd_warm(args: &[String]) -> ExitCode {
-    let n_data: usize = match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(6),
-        Err(_) => return fail("--ndata needs a positive integer"),
-    };
-    if n_data == 0 {
-        return fail("--ndata needs a positive integer");
-    }
-    let seed: u64 = match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(2006),
-        Err(_) => return fail("--seed needs an integer"),
-    };
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!("warm-restart pair: bronze-chain, ideal grid, sp+dp, n_data {n_data}...");
-    let report = match run_warm_pair(n_data, seed) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_warm(&report));
-    let path = out_dir.join("BENCH_warm.json");
-    if let Err(e) = std::fs::write(&path, render_warm_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.drift_ok && report.misses == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: warm pair failed (cold drift or unexpected warm misses)");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_faults(args: &[String]) -> ExitCode {
-    let mut spec = FaultsSpec::default();
-    match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_data = v,
-        Ok(Some(_)) => return fail("--ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    match flag_value(args, "--repeats").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.repeats = v,
-        Ok(Some(_)) => return fail("--repeats needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--repeats needs a positive integer"),
-    }
-    match flag_value(args, "--failure-probability")
-        .map(str::parse::<f64>)
-        .transpose()
-    {
-        Ok(Some(p)) if (0.0..=1.0).contains(&p) => spec.failure_probability = p,
-        Ok(Some(_)) => return fail("--failure-probability needs a fraction in [0, 1]"),
-        Ok(None) => {}
-        Err(_) => return fail("--failure-probability needs a fraction in [0, 1]"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "fault injection: bronze on unreliable egee-2006 (p_fail {:.0}%), n_data {} x {} seeds...",
-        spec.failure_probability * 100.0,
-        spec.n_data,
-        spec.repeats
-    );
-    let report = match run_faults(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_faults(&report));
-    let path = out_dir.join("BENCH_faults.json");
-    if let Err(e) = std::fs::write(&path, render_faults_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: timeout+replication did not beat the naive strategy");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_timeline(args: &[String]) -> ExitCode {
-    let mut spec = TimelineSpec::default();
-    match flag_value(args, "--ideal-ndata")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.ideal_n_data = v,
-        Ok(Some(_)) => return fail("--ideal-ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ideal-ndata needs a positive integer"),
-    }
-    match flag_value(args, "--loaded-ndata")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.loaded_n_data = v,
-        Ok(Some(_)) => return fail("--loaded-ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--loaded-ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "timeline telemetry: bronze sp+dp, ideal n_data {} / egee n_data {}...",
-        spec.ideal_n_data, spec.loaded_n_data
-    );
-    let report = match run_timeline(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_timeline(&report));
-    let path = out_dir.join("BENCH_timeline.json");
-    if let Err(e) = std::fs::write(&path, render_timeline_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: byte accounting or queue attribution failed");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_plan(args: &[String]) -> ExitCode {
-    let mut spec = PlanSpec::default();
-    match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_data = v,
-        Ok(Some(_)) => return fail("--ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "static plan check: bronze + cross sweep on the ideal grid, n_data {}...",
-        spec.n_data
-    );
-    let report = match run_plan_bench(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_plan_bench(&report));
-    let path = out_dir.join("BENCH_plan.json");
-    if let Err(e) = std::fs::write(&path, render_plan_bench_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: static bounds missed observed staging or the partition lost");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_scale(args: &[String]) -> ExitCode {
-    let mut spec = ScaleSpec::default();
-    match flag_value(args, "--events").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.target_events = v,
-        Ok(Some(_)) => return fail("--events needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--events needs a positive integer"),
-    }
-    match flag_value(args, "--jobs").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.enact_jobs = v,
-        Ok(Some(_)) => return fail("--jobs needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--jobs needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "scale campaign: {} gridsim events + {} enactor jobs (seed {})...",
-        spec.target_events, spec.enact_jobs, spec.seed
-    );
-    let report = match run_scale(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_scale(&report));
-    let path = out_dir.join("BENCH_scale.json");
-    if let Err(e) = std::fs::write(&path, render_scale_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: scale campaign missed a target or blew the allocation budget");
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_stream(args: &[String]) -> ExitCode {
-    let mut spec = StreamSpec::default();
-    match flag_value(args, "--items").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_items = v,
-        Ok(Some(_)) => return fail("--items needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--items needs a positive integer"),
-    }
-    match flag_value(args, "--capacity").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.port_capacity = v,
-        Ok(Some(_)) => return fail("--capacity needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--capacity needs a positive integer"),
-    }
-    match flag_value(args, "--eager-items")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.eager_items = v,
-        Ok(Some(_)) => return fail("--eager-items needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--eager-items needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "stream campaign: {} items through port capacity {} (seed {})...",
-        spec.n_items, spec.port_capacity, spec.seed
-    );
-    let report = match run_stream(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_stream(&report));
-    let path = out_dir.join("BENCH_stream.json");
-    if let Err(e) = std::fs::write(&path, render_stream_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "moteur-bench: stream campaign missed an item or blew the pipeline memory budget"
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_daemon(args: &[String]) -> ExitCode {
-    let n_workflows: usize = match flag_value(args, "--workflows").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--workflows needs a positive integer"),
-        Ok(None) => 100,
-    };
-    let n_tenants: usize = match flag_value(args, "--tenants").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--tenants needs a positive integer"),
-        Ok(None) => 4,
-    };
-    let n_data: usize = match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--ndata needs a positive integer"),
-        Ok(None) => 2,
-    };
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
-    eprintln!(
-        "daemon wave: {n_workflows} bronze-chain submissions across {n_tenants} tenants (n_data {n_data})..."
-    );
-    let report = match run_daemon_campaign(n_workflows, n_tenants, n_data) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_daemon(&report));
-    let path = out_dir.join("BENCH_daemon.json");
-    if let Err(e) = std::fs::write(&path, render_daemon_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: daemon wave failed (incomplete or cross-tenant reuse below 90%)");
-        ExitCode::FAILURE
-    }
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("gate") => cmd_gate(&args[1..]),
-        Some("warm") => cmd_warm(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("scale") => cmd_scale(&args[1..]),
-        Some("stream") => cmd_stream(&args[1..]),
-        Some("daemon") => cmd_daemon(&args[1..]),
-        _ => usage(),
+    let Some((name, rest)) = args.split_first() else {
+        return usage();
+    };
+    let flags = Flags(rest);
+    let outcome = if name == "gate" {
+        gate(&flags)
+    } else if let Some(c) = CAMPAIGNS.iter().find(|c| c.name == name) {
+        run_campaign(c, &flags)
+    } else if let Some(f) = FIGURES.iter().find(|f| f.name == name) {
+        (f.run)(&flags).map(|text| {
+            print!("{text}");
+            ExitCode::SUCCESS
+        })
+    } else {
+        return usage();
+    };
+    match outcome {
+        Ok(code) => code,
+        Err(Error::Usage(msg)) => {
+            eprintln!("moteur-bench: {msg}");
+            ExitCode::from(2)
+        }
+        Err(Error::Failed(msg)) => {
+            eprintln!("moteur-bench: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }

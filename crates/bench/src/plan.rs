@@ -108,15 +108,6 @@ impl PlanBenchReport {
     pub fn outcome(&self, scenario: &str) -> Option<&PlanOutcome> {
         self.outcomes.iter().find(|o| o.scenario == scenario)
     }
-
-    /// The gate predicate: containment on every edge of every workflow,
-    /// and the partition must beat centralized routing on the
-    /// data-heavy variant.
-    pub fn ok(&self) -> bool {
-        !self.outcomes.is_empty()
-            && self.outcomes.iter().all(PlanOutcome::all_contained)
-            && self.heavy_partitioned < self.heavy_centralized
-    }
 }
 
 /// The Fig. 9 workflow with crest lines as heavy as the images they
@@ -293,7 +284,6 @@ pub fn render_plan_bench_json(report: &PlanBenchReport) -> String {
         .uint("seed", report.spec.seed)
         .num("heavy_centralized_secs", report.heavy_centralized)
         .num("heavy_partitioned_secs", report.heavy_partitioned)
-        .bool("ok", report.ok())
         .raw("scenarios", &outcomes)
         .finish()
 }
@@ -329,19 +319,8 @@ pub fn render_plan_bench(report: &PlanBenchReport) -> String {
     }
     let _ = writeln!(
         out,
-        "  data-heavy bronze: centralized {:.1} s, partitioned {:.1} s {}",
-        report.heavy_centralized,
-        report.heavy_partitioned,
-        if report.heavy_partitioned < report.heavy_centralized {
-            "(partition pays)"
-        } else {
-            "(GATE FAILS)"
-        },
-    );
-    let _ = writeln!(
-        out,
-        "  containment + partition advantage: {}",
-        if report.ok() { "(ok)" } else { "(GATE FAILS)" }
+        "  data-heavy bronze: centralized {:.1} s, partitioned {:.1} s",
+        report.heavy_centralized, report.heavy_partitioned,
     );
     out
 }
@@ -407,7 +386,8 @@ mod tests {
             report.heavy_partitioned,
             report.heavy_centralized
         );
-        assert!(report.ok(), "{report:?}");
+        let checks = crate::gate::check_plan(&render_plan_bench_json(&report)).unwrap();
+        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
     }
 
     #[test]

@@ -102,17 +102,6 @@ pub struct ScaleReport {
     pub prof: ProfReport,
 }
 
-impl ScaleReport {
-    /// The gate predicate on the axes that hold on any machine.
-    pub fn ok(&self) -> bool {
-        self.events_processed >= self.spec.target_events
-            && self.events_per_sec > 0.0
-            && self.jobs_per_sec > 0.0
-            && self.enact_jobs_submitted >= self.spec.enact_jobs
-            && (!self.alloc_installed || self.allocs_per_event <= ALLOCS_PER_EVENT_BUDGET)
-    }
-}
-
 /// Jobs submitted per simulator wave. Small enough that the event
 /// queue stays shallow, large enough that submission overhead
 /// amortises.
@@ -235,7 +224,6 @@ pub fn render_scale_json(report: &ScaleReport) -> String {
         .num("jobs_per_sec", report.jobs_per_sec)
         .num("enact_makespan_secs", report.enact_makespan_secs)
         .uint("peak_alloc_bytes", report.peak_alloc_bytes)
-        .bool("ok", report.ok())
         .raw("subsystems", &subsystems)
         .finish()
 }
@@ -276,11 +264,6 @@ pub fn render_scale(report: &ScaleReport) -> String {
         let _ = writeln!(out, "  alloc     counting allocator not installed");
     }
     out.push_str(&report.prof.render_table());
-    let _ = writeln!(
-        out,
-        "  scale invariants: {}",
-        if report.ok() { "(ok)" } else { "(GATE FAILS)" }
-    );
     out
 }
 
@@ -303,7 +286,8 @@ mod tests {
         assert!(report.enact_jobs_submitted >= 100, "{report:?}");
         assert!(report.events_per_sec > 0.0);
         assert!(report.jobs_per_sec > 0.0);
-        assert!(report.ok(), "{report:?}");
+        let checks = crate::gate::check_scale(&render_scale_json(&report), None, 0.0).unwrap();
+        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
         // The profiler saw both phases.
         let calls = |name: &str| {
             report

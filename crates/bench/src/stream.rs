@@ -107,20 +107,6 @@ pub struct StreamReport {
     pub eager_projected_bytes: f64,
 }
 
-impl StreamReport {
-    /// The gate predicate on the axes that hold on any machine.
-    pub fn ok(&self) -> bool {
-        let functional = self.items_completed >= self.spec.n_items && self.items_per_sec > 0.0;
-        if !self.alloc_installed {
-            return functional;
-        }
-        functional
-            && self.pipeline_peak_bytes <= PIPELINE_PEAK_BUDGET
-            && (self.pipeline_peak_bytes as f64) * EAGER_UNDERCUT_FACTOR
-                <= self.eager_projected_bytes
-    }
-}
-
 fn double(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
     let x = inputs[0].value.as_num().ok_or("not a number")?;
     Ok(vec![("out".into(), DataValue::from(x * 2.0))])
@@ -233,7 +219,6 @@ pub fn render_stream_json(report: &StreamReport) -> String {
         .num("eager_bytes_per_item", report.eager_bytes_per_item)
         .num("eager_items_per_sec", report.eager_items_per_sec)
         .num("eager_projected_bytes", report.eager_projected_bytes)
-        .bool("ok", report.ok())
         .finish()
 }
 
@@ -271,11 +256,6 @@ pub fn render_stream(report: &StreamReport) -> String {
     } else {
         let _ = writeln!(out, "  memory    counting allocator not installed");
     }
-    let _ = writeln!(
-        out,
-        "  stream invariants: {}",
-        if report.ok() { "(ok)" } else { "(GATE FAILS)" }
-    );
     out
 }
 
@@ -298,7 +278,8 @@ mod tests {
         assert_eq!(report.items_completed, 5_000, "{report:?}");
         assert_eq!(report.jobs_submitted, 10_000, "two services per item");
         assert!(report.items_per_sec > 0.0);
-        assert!(report.ok(), "{report:?}");
+        let checks = crate::gate::check_stream(&render_stream_json(&report)).unwrap();
+        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
     }
 
     #[test]

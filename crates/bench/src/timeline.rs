@@ -78,19 +78,6 @@ impl TimelineReport {
     pub fn outcome(&self, scenario: &str) -> Option<&TimelineOutcome> {
         self.outcomes.iter().find(|o| o.scenario == scenario)
     }
-
-    /// The gate predicate: the byte-accounting invariant must hold on
-    /// the ideal grid, and the loaded grid must be attributed to the
-    /// CE batch queues.
-    pub fn ok(&self) -> bool {
-        let (Some(ideal), Some(loaded)) = (self.outcome("ideal"), self.outcome("egee-loaded"))
-        else {
-            return false;
-        };
-        ideal.timeline_link_bytes == ideal.bytes_transferred
-            && ideal.bytes_transferred > 0
-            && loaded.verdict == "queue-wait"
-    }
 }
 
 /// `egee_2006` scaled down to the large-campaign regime: the four big
@@ -181,7 +168,6 @@ pub fn render_timeline_json(report: &TimelineReport) -> String {
         .uint("ideal_n_data", report.spec.ideal_n_data as u64)
         .uint("loaded_n_data", report.spec.loaded_n_data as u64)
         .uint("seed", report.spec.seed)
-        .bool("ok", report.ok())
         .raw("scenarios", &outcomes)
         .finish()
 }
@@ -217,11 +203,6 @@ pub fn render_timeline(report: &TimelineReport) -> String {
             o.compute_secs,
         );
     }
-    let _ = writeln!(
-        out,
-        "  byte accounting + queue attribution: {}",
-        if report.ok() { "(ok)" } else { "(GATE FAILS)" }
-    );
     out
 }
 
@@ -258,7 +239,8 @@ mod tests {
         let loaded = report.outcome("egee-loaded").unwrap();
         assert_eq!(loaded.verdict, "queue-wait", "{loaded:?}");
         assert!(loaded.peak_queue_depth > 0);
-        assert!(report.ok(), "{report:?}");
+        let checks = crate::gate::check_timeline(&render_timeline_json(&report)).unwrap();
+        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
     }
 
     #[test]

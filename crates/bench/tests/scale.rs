@@ -41,7 +41,8 @@ fn simulator_allocation_rate_stays_inside_the_budget() {
         "event-queue churn crept back in: {:.2} allocs/event",
         report.allocs_per_event
     );
-    assert!(report.ok(), "{report:?}");
+    let checks = check_scale(&render_scale_json(&report), None, DEFAULT_THRESHOLD).unwrap();
+    assert!(checks.iter().all(|c| c.ok), "{checks:?}");
 }
 
 #[test]

@@ -21,7 +21,7 @@ use super::{Daemon, InstanceStatus};
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
 use crate::ft::FtConfig;
-use crate::lint::JsonValue;
+use crate::obs::json::JsonValue;
 use crate::obs::json::{array, JsonObject};
 use std::io::{BufRead, Write};
 
@@ -404,5 +404,31 @@ mod tests {
         assert_eq!(config, "sp+dp");
         assert_eq!(max_retries, EnactorConfig::default().max_job_retries);
         assert!(!continue_on_error);
+    }
+
+    #[test]
+    fn deeply_nested_line_gets_an_error_and_the_session_goes_on() {
+        use crate::backend::VirtualBackend;
+        use crate::daemon::DaemonConfig;
+        use crate::store::{DataStore, StoreConfig};
+        let mut daemon = Daemon::new(
+            Box::new(VirtualBackend::new()),
+            DataStore::in_memory(StoreConfig::default()),
+            |_, _| Err(MoteurError::new("no workflow is submitted here")),
+            DaemonConfig::default(),
+        );
+        let session = format!("{}\n{}\n", "[".repeat(200_000), Request::List.render());
+        let mut out = Vec::new();
+        serve(&mut daemon, session.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
+        assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+        assert!(
+            lines[1].contains(r#""op":"list","ok":true"#),
+            "{}",
+            lines[1]
+        );
     }
 }

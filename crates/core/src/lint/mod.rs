@@ -29,7 +29,7 @@ pub use predict::{
     predict, predict_with_transfer, prediction_from_json, prediction_to_json, render_prediction,
     Prediction, PredictionRow, CONFIG_KEYS,
 };
-pub use render::{intern_code, render_human, report_from_json, report_to_json, JsonValue};
+pub use render::{intern_code, render_human, report_from_json, report_to_json};
 pub use rules::cardinality::{output_cardinalities, Card};
 pub use rules::docs::{explain, render_explain, RuleDoc, RULE_DOCS};
 pub use rules::{lint_errors, lint_workflow};

@@ -1,13 +1,13 @@
 //! Diagnostic renderers: rustc-style human output and a JSON codec.
 //!
 //! The JSON side is a *codec*, not just an exporter: because the
-//! workspace is hermetic (no serde), [`report_from_json`] hand-rolls a
-//! small JSON parser so `moteur lint --json` output round-trips back
-//! into a [`LintReport`] — which is also how the test suite proves the
-//! output is well-formed.
+//! workspace is hermetic (no serde), [`report_from_json`] reads the
+//! output back through the shared [`JsonValue`] reader so
+//! `moteur lint --json` round-trips into a [`LintReport`] — which is
+//! also how the test suite proves the output is well-formed.
 
 use crate::lint::diag::{Diagnostic, Label, LintReport, Severity};
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{array, JsonObject, JsonValue};
 use moteur_xml::Span;
 use std::fmt::Write as _;
 
@@ -131,263 +131,8 @@ pub fn report_to_json(report: &LintReport) -> String {
 }
 
 // ---------------------------------------------------------------------
-// JSON import (hand-rolled parser — the workspace has no serde)
+// JSON import
 // ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (always stored as `f64`).
-    Number(f64),
-    /// A string, with escapes decoded.
-    String(String),
-    /// An array, in document order.
-    Array(Vec<JsonValue>),
-    /// An object, fields in document order (duplicates kept).
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Field lookup (`None` for non-objects and absent keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64()
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .map(|n| n as usize)
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-}
 
 /// Rebuild a [`LintReport`] from `moteur lint --json` output.
 pub fn report_from_json(text: &str) -> Result<LintReport, String> {
@@ -474,15 +219,6 @@ mod tests {
     fn json_rejects_unknown_codes() {
         let json = r#"{"diagnostics":[{"code":"X999","severity":"error","message":"m"}]}"#;
         assert!(report_from_json(json).unwrap_err().contains("X999"));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = JsonValue::parse(r#"{"a":[1,-2.5,true,null],"b":"x\n\"yA"}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 4);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"yA"));
-        assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
-        assert!(JsonValue::parse("[1,]").is_err());
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! Minimal JSON construction — just enough for event and metric export
-//! without an external serialisation dependency.
+//! Minimal JSON writer and reader — just enough for event and metric
+//! export, and for reading those documents back, without an external
+//! serialisation dependency.
 //!
 //! Output is always a single line (no pretty-printing) so it can be
 //! embedded in JSONL streams and Chrome trace arrays directly.
+//! [`JsonValue::parse`] reads any document the writer produces; it runs
+//! in time linear in its input and refuses nesting deeper than
+//! [`MAX_DEPTH`], so a hostile line cannot overflow the stack.
 
 use std::fmt::Write as _;
 
@@ -111,6 +115,280 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
     buf
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Every
+/// document the workspace writes nests fewer than ten levels; the reader
+/// recurses once per level, so the cap bounds its stack use.
+pub const MAX_DEPTH: usize = 128;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any JSON number (always stored as `f64`).
+    Number(f64),
+    /// A string, with escapes decoded.
+    String(String),
+    /// An array, in document order.
+    Array(Vec<JsonValue>),
+    /// An object, fields in document order (duplicates kept).
+    Object(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// Parse a complete JSON document (trailing whitespace allowed,
+    /// trailing garbage rejected).
+    pub fn parse(text: &str) -> Result<JsonValue, String> {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// Field lookup (`None` for non-objects and absent keys).
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_f64()
+            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
+            .map(|n| n as usize)
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
+        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "non-utf8 number".to_string())?;
+        text.parse::<f64>()
+            .map(JsonValue::Number)
+            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or escape in one go: both
+            // are ASCII, so the run ends on a UTF-8 boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| format!("invalid code point {code:#x}"))?,
+                    );
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
+            }
+            self.pos += 1;
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(fields));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,5 +425,34 @@ mod tests {
     fn array_joins() {
         assert_eq!(array(["1".to_string(), "2".to_string()]), "[1,2]");
         assert_eq!(array(Vec::<String>::new()), "[]");
+    }
+
+    #[test]
+    fn json_parser_handles_escapes_and_nesting() {
+        let v = JsonValue::parse(r#"{"a":[1,-2.5,true,null],"b":"x\n\"yA"}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 4);
+        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"yA"));
+        assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
+        assert!(JsonValue::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let hostile = "[{\"a\":".repeat(100_000);
+        assert!(JsonValue::parse(&hostile).is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_next_to_escapes() {
+        let v = JsonValue::parse(r#"["é\u00e9\"ü", "plain"]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("éé\"ü"));
+        assert_eq!(items[1].as_str(), Some("plain"));
+        assert!(JsonValue::parse(r#""open"#).is_err());
     }
 }

@@ -17,7 +17,7 @@
 pub use moteur_prof::{PathEntry, Prof, ProfReport, ProfScope, Subsystem, SubsystemStat};
 
 use super::json::{array, JsonObject};
-use crate::lint::JsonValue;
+use crate::obs::json::JsonValue;
 
 /// Schema tag of the canonical profile document.
 pub const PROF_SCHEMA: &str = "moteur/prof/v1";

@@ -279,7 +279,7 @@ mod tests {
         assert!(text.ends_with('\n'), "file ends on a record boundary");
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            crate::lint::render::JsonValue::parse(line)
+            crate::obs::json::JsonValue::parse(line)
                 .unwrap_or_else(|e| panic!("unparseable line {line}: {e}"));
         }
         std::fs::remove_dir_all(&dir).ok();

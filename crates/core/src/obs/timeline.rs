@@ -31,7 +31,7 @@
 //! per-CE busy integrals, per-service durations — the input to
 //! [`super::detect`].
 
-use super::json::{self, JsonObject};
+use super::json::{self, JsonObject, JsonValue};
 use super::{EventSink, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -246,8 +246,10 @@ impl Timeline {
     /// Parse a [`Timeline::to_json`] export back (for
     /// `moteur timeline render`).
     pub fn from_json(text: &str) -> Result<Timeline, String> {
-        let value = JsonValue::parse(text)?;
-        let obj = value.as_object().ok_or("timeline: not a JSON object")?;
+        let obj = JsonValue::parse(text)?;
+        if !matches!(obj, JsonValue::Object(_)) {
+            return Err("timeline: not a JSON object".into());
+        }
         match obj.get("schema").and_then(JsonValue::as_str) {
             Some(TIMELINE_SCHEMA) => {}
             Some(other) => return Err(format!("unsupported timeline schema `{other}`")),
@@ -262,8 +264,10 @@ impl Timeline {
             .get("series")
             .and_then(JsonValue::as_array)
             .ok_or("timeline: missing series array")?;
-        for entry in series {
-            let e = entry.as_object().ok_or("timeline: series not an object")?;
+        for e in series {
+            if !matches!(e, JsonValue::Object(_)) {
+                return Err("timeline: series not an object".into());
+            }
             let name = e
                 .get("name")
                 .and_then(JsonValue::as_str)
@@ -428,196 +432,6 @@ fn shade(v: f64, peak: f64) -> char {
     }
     let idx = ((v / peak) * (RAMP.len() - 1) as f64).round() as usize;
     RAMP[idx.clamp(1, RAMP.len() - 1)] as char
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (for `from_json` only)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<JsonValue>),
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    JsonValue::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                map.insert(key, parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")
-                                    .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "bad \\u escape")
-                                })?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 code point.
-                        let rest = std::str::from_utf8(&b[*pos..])
-                            .map_err(|_| "invalid UTF-8 in string")?;
-                        let c = rest.chars().next().expect("non-empty checked");
-                        s.push(c);
-                        *pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,7 @@
 
 use super::{DataStore, InvocationKey, ProvenanceKey, STORE_SCHEMA};
 use crate::error::MoteurError;
-use crate::lint::render::JsonValue;
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{array, JsonObject, JsonValue};
 use crate::value::DataValue;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
