@@ -21,6 +21,11 @@ cargo test -q --offline
 # registration, bench).
 cargo test --workspace --offline
 
+# The repository benchmark's self-test (its own package, outside the
+# workspace): every workload emits exactly its metrics and its checks
+# pass on short runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Static analysis over the bundled example workflows: errors AND
 # warnings fail the build (notes — e.g. grouping advice — are fine).
 # `plan` runs the same lint pass plus the cardinality/transfer planner,

@@ -143,8 +143,9 @@ pub struct VirtualBackend {
     clock: SimTime,
     heap: BinaryHeap<Reverse<(SimTime, u64, InvocationId)>>,
     seq: u64,
-    /// Results of local calls executed eagerly at submission.
-    local_results: Vec<(InvocationId, Result<ServiceOutputs, String>)>,
+    /// Results of local calls executed eagerly at submission, by
+    /// invocation id.
+    local_results: std::collections::HashMap<u64, Result<ServiceOutputs, String>>,
     starts: std::collections::HashMap<u64, SimTime>,
     /// Invocations cancelled while still on the heap; their entries are
     /// discarded (without advancing the clock) when popped.
@@ -162,21 +163,12 @@ impl VirtualBackend {
             let Reverse((at, _, invocation)) = self.heap.pop()?;
             if self.cancelled.remove(&invocation.0) {
                 self.starts.remove(&invocation.0);
-                self.local_results.retain(|(i, _)| *i != invocation);
+                self.local_results.remove(&invocation.0);
                 continue;
             }
             self.clock = self.clock.max(at);
             let started_at = self.starts.remove(&invocation.0).unwrap_or(SimTime::ZERO);
-            let outputs = if let Some(pos) = self
-                .local_results
-                .iter()
-                .position(|(i, _)| *i == invocation)
-            {
-                let (_, r) = self.local_results.swap_remove(pos);
-                r.map(Some)
-            } else {
-                Ok(None)
-            };
+            let outputs = self.local_results.remove(&invocation.0).transpose();
             return Some(BackendCompletion {
                 invocation,
                 outputs,
@@ -204,7 +196,7 @@ impl Backend for VirtualBackend {
                 // Local calls are logic, not timing: run eagerly, zero
                 // virtual duration.
                 let result = service.invoke(&inputs);
-                self.local_results.push((job.invocation, result));
+                self.local_results.insert(job.invocation.0, result);
                 self.heap.push(Reverse((start, self.seq, job.invocation)));
                 self.seq += 1;
             }
@@ -229,7 +221,7 @@ impl Backend for VirtualBackend {
                     self.heap.pop();
                     self.cancelled.remove(&inv.0);
                     self.starts.remove(&inv.0);
-                    self.local_results.retain(|(i, _)| *i != inv);
+                    self.local_results.remove(&inv.0);
                 }
                 Some((at, _)) if at <= deadline => {
                     let c = self.pop_live().expect("peeked a live entry");

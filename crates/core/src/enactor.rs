@@ -25,10 +25,10 @@ use crate::backend::{
 };
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
-use crate::ft::{FtConfig, QuarantineEntry, TimeoutAction};
+use crate::ft::{FtConfig, QuarantineEntry, TimeoutAction, TimeoutBudget};
 use crate::graph::{ProcId, ProcessorKind, Workflow};
 use crate::iterate::{MatchEngine, MatchedSet};
-use crate::obs::prof::Subsystem;
+use crate::obs::prof::{Prof, Subsystem};
 use crate::obs::{Obs, TraceEvent};
 use crate::service::{CostModel, GroupSource, GroupedBinding, ServiceBinding, ServiceProfile};
 use crate::store::{
@@ -243,8 +243,8 @@ struct SourceCursor {
 }
 
 /// Streaming mode keeps at most this many completion-duration samples
-/// per processor (a ring, overwritten oldest-first) so the adaptive
-/// timeout statistics stay O(1) in the stream length.
+/// per processor (the oldest is evicted first) so the adaptive timeout
+/// statistics stay O(1) in the stream length.
 const SAMPLE_RING: usize = 512;
 
 /// One workflow invocation carried by a backend job (batched grid jobs
@@ -324,9 +324,6 @@ pub struct WorkflowInstance {
     /// Unemitted source streams (streaming mode only; empty in the
     /// legacy eager mode, where sources route everything up front).
     source_cursors: Vec<SourceCursor>,
-    /// Per-processor write cursor into the [`SAMPLE_RING`]-sized
-    /// `proc_samples` ring (streaming mode only).
-    sample_cursors: Vec<usize>,
     records: Vec<InvocationRecord>,
     start_time: SimTime,
     obs: Obs,
@@ -350,9 +347,9 @@ pub struct WorkflowInstance {
     /// Backoff queue: `(due time, logical invocation)` awaiting
     /// resubmission. Deferred invocations still count as in flight.
     deferred: Vec<(SimTime, u64)>,
-    /// Per-processor submission→delivery durations of successful
-    /// completions, feeding percentile-adaptive timeouts.
-    proc_samples: Vec<Vec<f64>>,
+    /// Per-processor timeout budget, refreshed from the
+    /// submission→delivery durations of successful completions.
+    budgets: Vec<TimeoutBudget>,
     /// Consecutive enactor-visible failures per computing element.
     ce_failures: HashMap<usize, u32>,
     blacklisted: HashSet<usize>,
@@ -428,7 +425,11 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         budget: Option<usize>,
     ) -> Result<usize, MoteurError> {
-        let fired = self.fire_phase_budgeted(ctx, budget)?;
+        let prof = self.obs.prof().clone();
+        let fired = {
+            let _prof = prof.scope(Subsystem::Fire);
+            self.fire_phase_budgeted(ctx, budget)?
+        };
         self.service_deferred(ctx)?;
         Ok(fired)
     }
@@ -556,7 +557,12 @@ impl WorkflowInstance {
             vec![None; workflow.processors.len()]
         };
         let start_time = ctx.backend.now();
-        let n_procs = workflow.processors.len();
+        let sample_cap = config.port_capacity.map(|_| SAMPLE_RING);
+        let budgets = workflow
+            .processors
+            .iter()
+            .map(|p| TimeoutBudget::new(ft.policy_for(&p.name).timeout, sample_cap))
+            .collect();
         WorkflowInstance {
             workflow,
             config,
@@ -576,7 +582,6 @@ impl WorkflowInstance {
             sink_outputs: HashMap::new(),
             sink_counts: HashMap::new(),
             source_cursors: Vec::new(),
-            sample_cursors: vec![0; n_procs],
             records: Vec::new(),
             start_time,
             obs,
@@ -585,7 +590,7 @@ impl WorkflowInstance {
             attempt_of: HashMap::new(),
             cancelled_attempts: HashSet::new(),
             deferred: Vec::new(),
-            proc_samples: vec![Vec::new(); n_procs],
+            budgets,
             ce_failures: HashMap::new(),
             blacklisted: HashSet::new(),
             quarantined: Vec::new(),
@@ -836,7 +841,7 @@ impl WorkflowInstance {
     ) -> Result<(), MoteurError> {
         let prof = self.obs.prof().clone();
         let _prof = prof.scope(Subsystem::EnactorLoop);
-        let result = self.event_loop_inner(ctx);
+        let result = self.event_loop_inner(ctx, &prof);
         if result.is_err() {
             // A workflow abort must not abandon in-flight invocations:
             // cancel their backend jobs and close their spans before
@@ -846,12 +851,18 @@ impl WorkflowInstance {
         result
     }
 
+    /// The one-shot event loop. `prof` is the instance's profiler,
+    /// cloned once by the caller rather than once per fire phase.
     fn event_loop_inner<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
+        prof: &Prof,
     ) -> Result<(), MoteurError> {
         loop {
-            self.fire_phase(ctx)?;
+            {
+                let _prof = prof.scope(Subsystem::Fire);
+                self.fire_phase_budgeted(ctx, None)?;
+            }
             if self.inflight_total == 0 {
                 break;
             }
@@ -928,37 +939,34 @@ impl WorkflowInstance {
     /// deadline or a backoff-deferred resubmission's due time. `None`
     /// when only completions can move the workflow forward.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let mut wake: Option<SimTime> = None;
-        for p in self.pending.values() {
-            if let Some(d) = self.deadline_of(p) {
-                wake = Some(wake.map_or(d, |w| w.min(d)));
-            }
-        }
-        for &(t, _) in &self.deferred {
-            wake = Some(wake.map_or(t, |w| w.min(t)));
-        }
-        wake
+        self.deadlines()
+            .map(|(_, d)| d)
+            .chain(self.deferred.iter().map(|&(t, _)| t))
+            .min()
     }
 
-    /// Current timeout budget of `proc` in seconds, from its policy and
-    /// the observed completion durations. `None` → no timeout applies.
-    fn timeout_secs_for(&self, proc: ProcId) -> Option<f64> {
-        let name = &self.workflow.processors[proc.0].name;
-        self.ft
-            .policy_for(name)
-            .timeout
-            .timeout_secs(&self.proc_samples[proc.0])
+    /// Every pending invocation's live timeout deadline, by logical id.
+    /// When no processor has a budget, `pending` is not scanned at all.
+    fn deadlines(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
+        let any_budget = self.budgets.iter().any(|b| b.secs().is_some());
+        any_budget
+            .then_some(&self.pending)
+            .into_iter()
+            .flatten()
+            .filter_map(|(&id, p)| self.deadline_of(p).map(|d| (id, d)))
     }
 
     /// The live deadline of one pending invocation. Computed on demand
-    /// (not stored) so an adaptive timeout tightens over already-running
-    /// jobs as completion samples accrue — exactly the outlier-catching
-    /// behaviour a percentile policy promises.
+    /// (not stored) from the processor's cached budget, so an adaptive
+    /// timeout tightens over already-running jobs as completion
+    /// samples accrue — exactly the outlier-catching behaviour a
+    /// percentile policy promises.
     fn deadline_of(&self, p: &PendingJob) -> Option<SimTime> {
         if p.muted || p.attempts.is_empty() {
             return None;
         }
-        self.timeout_secs_for(p.proc)
+        self.budgets[p.proc.0]
+            .secs()
             .map(|s| p.window_start + SimDuration::from_secs_f64(s))
     }
 
@@ -1024,27 +1032,18 @@ impl WorkflowInstance {
         }
     }
 
-    /// Fire everything the configuration permits, to fixpoint.
-    fn fire_phase<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-    ) -> Result<usize, MoteurError> {
-        self.fire_phase_budgeted(ctx, None)
-    }
-
-    /// [`WorkflowInstance::fire_phase`] with an optional submission
-    /// budget — the daemon's weighted fair-share quantum. With a
-    /// budget of `Some(b)` at most `b` invocations are dispatched
-    /// before returning; `None` fires to fixpoint (the one-shot
-    /// behaviour, byte-identical traces included). Returns how many
-    /// invocations were dispatched.
+    /// Fire everything the configuration permits, with an optional
+    /// submission budget — the daemon's weighted fair-share quantum.
+    /// With a budget of `Some(b)` at most `b` invocations are
+    /// dispatched before returning; `None` fires to fixpoint (the
+    /// one-shot behaviour, byte-identical traces included). Returns
+    /// how many invocations were dispatched. Callers open the `Fire`
+    /// profiler scope around it.
     fn fire_phase_budgeted<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
         budget: Option<usize>,
     ) -> Result<usize, MoteurError> {
-        let prof = self.obs.prof().clone();
-        let _prof = prof.scope(Subsystem::Fire);
         let mut dispatched = 0usize;
         loop {
             if budget.is_some_and(|b| dispatched >= b) {
@@ -1982,18 +1981,22 @@ impl WorkflowInstance {
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
     ) -> Result<(), MoteurError> {
-        let now = ctx.backend.now();
-        let mut expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| self.deadline_of(p).is_some_and(|d| d <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable(); // deterministic order over the HashMap
-        for logical in expired {
+        for logical in self.expired_at(ctx.backend.now()) {
             self.handle_one_timeout(ctx, logical)?;
         }
         Ok(())
+    }
+
+    /// Logical ids of the pending invocations whose deadline is at or
+    /// before `now`, in ascending order.
+    fn expired_at(&self, now: SimTime) -> Vec<u64> {
+        let mut expired: Vec<u64> = self
+            .deadlines()
+            .filter(|&(_, d)| d <= now)
+            .map(|(id, _)| id)
+            .collect();
+        expired.sort_unstable(); // deterministic order over the HashMap
+        expired
     }
 
     fn handle_one_timeout<B: Backend + ?Sized>(
@@ -2008,7 +2011,7 @@ impl WorkflowInstance {
         };
         let name = self.workflow.processors[proc.0].name.clone();
         let policy = *self.ft.policy_for(&name);
-        let budget = self.timeout_secs_for(proc).unwrap_or(0.0);
+        let budget = self.budgets[proc.0].secs().unwrap_or(0.0);
         match policy.on_timeout {
             TimeoutAction::Resubmit => {
                 self.cancel_attempts(ctx, logical);
@@ -2251,17 +2254,7 @@ impl WorkflowInstance {
             // A success resets the CE's consecutive-failure count.
             self.ce_failures.insert(ce, 0);
         }
-        let sample = c.finished_at.since(pend.submitted).as_secs_f64();
-        let samples = &mut self.proc_samples[proc_id.0];
-        if self.config.port_capacity.is_some() && samples.len() >= SAMPLE_RING {
-            // Streaming mode bounds the timeout statistics: overwrite
-            // the oldest sample (percentiles don't care about order).
-            let slot = self.sample_cursors[proc_id.0] % SAMPLE_RING;
-            samples[slot] = sample;
-            self.sample_cursors[proc_id.0] = self.sample_cursors[proc_id.0].wrapping_add(1);
-        } else {
-            samples.push(sample);
-        }
+        self.budgets[proc_id.0].record(c.finished_at.since(pend.submitted).as_secs_f64());
         let local_outputs = c.outputs.expect("failure case handled by caller");
         for mut entry in pend.entries {
             let outputs = match (&local_outputs, entry.grid_outputs.take()) {
@@ -2372,4 +2365,296 @@ fn buffers_to_tokens(buffers: &[Vec<Token>], p: &crate::graph::Processor) -> Vec
             ),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{SimBackend, VirtualBackend};
+    use crate::ft::{FtPolicy, RetryPolicy, TimeoutPolicy};
+    use moteur_gridsim::GridConfig;
+    use moteur_wrapper::{AccessMethod, FileItem, InputSlot, OutputSlot};
+
+    fn desc(name: &str) -> ExecutableDescriptor {
+        ExecutableDescriptor {
+            executable: FileItem {
+                name: name.into(),
+                access: AccessMethod::Local,
+                value: name.into(),
+            },
+            inputs: vec![InputSlot {
+                name: "in".into(),
+                option: "-in".into(),
+                access: Some(AccessMethod::Gfn),
+                bytes: None,
+            }],
+            outputs: vec![OutputSlot {
+                name: "out".into(),
+                option: "-out".into(),
+                access: AccessMethod::Gfn,
+            }],
+            sandboxes: vec![],
+            nondeterministic: false,
+        }
+    }
+
+    /// `s → a → b → sink` over `n` files. Compute times spread over
+    /// 10-106 s, and every 13th item is a 20× outlier, so percentile
+    /// budgets move with every completion and some jobs outlive them.
+    fn chain(n: usize) -> (Workflow, InputData) {
+        let cost = CostModel::by_index(|idx| {
+            let i = idx.0[0];
+            let base = 10.0 + ((i * 7919) % 97) as f64;
+            if i % 13 == 5 {
+                20.0 * base
+            } else {
+                base
+            }
+        });
+        let mut wf = Workflow::new("differential");
+        let src = wf.add_source("s");
+        let mut prev = (src, "out");
+        for name in ["a", "b"] {
+            let profile = ServiceProfile::new(0.0).with_cost(cost.clone());
+            let p = wf.add_service(
+                name,
+                &["in"],
+                &["out"],
+                ServiceBinding::descriptor(desc(name), profile),
+            );
+            wf.connect(prev.0, prev.1, p, "in").unwrap();
+            prev = (p, "out");
+        }
+        let sink = wf.add_sink("sink");
+        wf.connect(prev.0, prev.1, sink, "in").unwrap();
+        let files = (0..n)
+            .map(|j| DataValue::File {
+                gfn: format!("gfn://in/{j}"),
+                bytes: 1000,
+            })
+            .collect();
+        (wf, InputData::new().set("s", files))
+    }
+
+    /// The budget formula before the per-processor cache: the policy
+    /// over every kept completion sample, copied and sorted, once per
+    /// pending job. Samples are noted from each completion before it
+    /// is delivered, in arrival order.
+    struct Reference {
+        samples: Vec<Vec<f64>>,
+        cap: Option<usize>,
+    }
+
+    impl Reference {
+        fn budget(&self, inst: &WorkflowInstance, proc: ProcId) -> Option<f64> {
+            let all = &self.samples[proc.0];
+            let kept = &all[self.cap.map_or(0, |c| all.len().saturating_sub(c))..];
+            let mut sorted = kept.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let name = &inst.workflow.processors[proc.0].name;
+            inst.ft.policy_for(name).timeout.timeout_secs(&sorted)
+        }
+
+        fn deadlines(&self, inst: &WorkflowInstance) -> Vec<(u64, SimTime)> {
+            let budgets: Vec<Option<f64>> = (0..inst.workflow.processors.len())
+                .map(|p| self.budget(inst, ProcId(p)))
+                .collect();
+            inst.pending
+                .iter()
+                .filter(|(_, p)| !p.muted && !p.attempts.is_empty())
+                .filter_map(|(&id, p)| {
+                    budgets[p.proc.0].map(|s| (id, p.window_start + SimDuration::from_secs_f64(s)))
+                })
+                .collect()
+        }
+
+        fn next_wake(&self, inst: &WorkflowInstance) -> Option<SimTime> {
+            let mut wake: Option<SimTime> = None;
+            for (_, d) in self.deadlines(inst) {
+                wake = Some(wake.map_or(d, |w| w.min(d)));
+            }
+            for &(t, _) in &inst.deferred {
+                wake = Some(wake.map_or(t, |w| w.min(t)));
+            }
+            wake
+        }
+
+        fn expired(&self, inst: &WorkflowInstance, now: SimTime) -> Vec<u64> {
+            let mut ids: Vec<u64> = self
+                .deadlines(inst)
+                .into_iter()
+                .filter(|&(_, d)| d <= now)
+                .map(|(id, _)| id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        fn observe(&mut self, inst: &WorkflowInstance, c: &BackendCompletion) {
+            let tag = c.invocation.0;
+            if c.outputs.is_err() || inst.cancelled_attempts.contains(&tag) {
+                return;
+            }
+            let logical = inst.attempt_of.get(&tag).copied().unwrap_or(tag);
+            if let Some(p) = inst.pending.get(&logical) {
+                let sample = c.finished_at.since(p.submitted).as_secs_f64();
+                self.samples[p.proc.0].push(sample);
+            }
+        }
+    }
+
+    struct Steps {
+        expired: usize,
+        muted_seen: bool,
+        most_samples: usize,
+    }
+
+    /// Step one enactment through `pump` / `next_wake` / `deliver` /
+    /// `on_timer`, checking the cached budgets, `next_wake` and the
+    /// expired set against [`Reference`] at every step.
+    fn step_against_reference<B: Backend>(
+        (workflow, inputs): (Workflow, InputData),
+        config: EnactorConfig,
+        ft: FtConfig,
+        backend: &mut B,
+    ) -> Steps {
+        let mut ctx = EnactCtx {
+            backend,
+            store: None,
+        };
+        let mut inst =
+            WorkflowInstance::start(&workflow, &inputs, config, ft, &mut ctx, Obs::off()).unwrap();
+        let mut reference = Reference {
+            samples: vec![Vec::new(); inst.workflow.processors.len()],
+            cap: config.port_capacity.map(|_| SAMPLE_RING),
+        };
+        let mut steps = Steps {
+            expired: 0,
+            muted_seen: false,
+            most_samples: 0,
+        };
+        loop {
+            inst.pump(&mut ctx).unwrap();
+            if inst.inflight() == 0 {
+                break;
+            }
+            for (p, budget) in inst.budgets.iter().enumerate() {
+                assert_eq!(budget.secs(), reference.budget(&inst, ProcId(p)));
+            }
+            steps.muted_seen |= inst.pending.values().any(|p| p.muted);
+            let wake = inst.next_wake();
+            assert_eq!(wake, reference.next_wake(&inst));
+            let outcome = match wake {
+                None => WaitOutcome::Completion(ctx.backend.wait_next().expect("jobs in flight")),
+                Some(deadline) => ctx.backend.wait_next_until(deadline),
+            };
+            match outcome {
+                WaitOutcome::Completion(c) => {
+                    reference.observe(&inst, &c);
+                    inst.deliver(&mut ctx, c).unwrap();
+                }
+                WaitOutcome::TimedOut => {
+                    let now = ctx.backend.now();
+                    let expired = inst.expired_at(now);
+                    assert_eq!(expired, reference.expired(&inst, now));
+                    steps.expired += expired.len();
+                    inst.on_timer(&mut ctx).unwrap();
+                }
+            }
+        }
+        steps.most_samples = reference.samples.iter().map(Vec::len).max().unwrap_or(0);
+        inst.finish(ctx.backend.now()).unwrap();
+        steps
+    }
+
+    fn ft(timeout: TimeoutPolicy, on_timeout: TimeoutAction) -> FtConfig {
+        FtConfig::from_legacy(0)
+            .with_default(FtPolicy {
+                retry: RetryPolicy::ExponentialBackoff {
+                    max_retries: 2,
+                    base_delay: 5.0,
+                    factor: 2.0,
+                    max_delay: 60.0,
+                },
+                timeout,
+                on_timeout,
+            })
+            .with_continue_on_error(true)
+    }
+
+    fn egee(seed: u64) -> SimBackend {
+        SimBackend::new(GridConfig::egee_2006(), seed)
+    }
+
+    const ADAPTIVE: TimeoutPolicy = TimeoutPolicy::Adaptive {
+        percentile: 0.75,
+        multiplier: 2.0,
+        min_samples: 8,
+        fallback: f64::INFINITY,
+    };
+
+    #[test]
+    fn adaptive_budget_with_warm_up_matches_the_reference() {
+        for seed in [1, 2] {
+            let steps = step_against_reference(
+                chain(60),
+                EnactorConfig::sp_dp().with_seed(seed),
+                ft(ADAPTIVE, TimeoutAction::Resubmit),
+                &mut egee(seed),
+            );
+            assert!(steps.expired > 0, "seed {seed}: no timeout fired");
+        }
+    }
+
+    #[test]
+    fn fixed_budget_matches_the_reference() {
+        let fixed = TimeoutPolicy::Fixed { seconds: 900.0 };
+        let steps = step_against_reference(
+            chain(40),
+            EnactorConfig::sp_dp(),
+            ft(fixed, TimeoutAction::Resubmit),
+            &mut egee(3),
+        );
+        assert!(steps.expired > 0, "no timeout fired");
+    }
+
+    #[test]
+    fn no_budget_never_wakes_for_timeouts() {
+        let steps = step_against_reference(
+            chain(40),
+            EnactorConfig::sp_dp(),
+            ft(TimeoutPolicy::None, TimeoutAction::Resubmit),
+            &mut egee(4),
+        );
+        assert_eq!(steps.expired, 0);
+    }
+
+    #[test]
+    fn replication_mutes_jobs_like_the_reference() {
+        // `b` overrides the default, so the two processors hold
+        // different budgets.
+        let replicate = TimeoutAction::Replicate { max_replicas: 1 };
+        let config = ft(ADAPTIVE, replicate).with_policy(
+            "b",
+            FtPolicy {
+                retry: RetryPolicy::Fixed { max_retries: 1 },
+                timeout: TimeoutPolicy::Fixed { seconds: 400.0 },
+                on_timeout: replicate,
+            },
+        );
+        let steps = step_against_reference(chain(60), EnactorConfig::sp_dp(), config, &mut egee(5));
+        assert!(steps.muted_seen, "no job reached its replica cap");
+    }
+
+    #[test]
+    fn streaming_ring_eviction_matches_the_reference() {
+        let steps = step_against_reference(
+            chain(SAMPLE_RING + 150),
+            EnactorConfig::sp_dp().with_port_capacity(16),
+            ft(ADAPTIVE, TimeoutAction::Resubmit),
+            &mut VirtualBackend::new(),
+        );
+        assert!(steps.most_samples > SAMPLE_RING, "the ring never evicted");
+        assert!(steps.expired > 0, "no timeout fired");
+    }
 }

@@ -21,7 +21,7 @@
 //!   processors lost them, and a machine-readable run report.
 
 use crate::obs::json::{self, JsonObject};
-use moteur_gridsim::{percentile, Rng};
+use moteur_gridsim::{percentile_sorted, Rng};
 use std::collections::BTreeMap;
 
 /// How a failed invocation is retried.
@@ -109,8 +109,9 @@ pub enum TimeoutPolicy {
 
 impl TimeoutPolicy {
     /// The timeout budget in seconds given this processor's observed
-    /// completed durations, or `None` when no timeout applies.
-    pub fn timeout_secs(&self, samples: &[f64]) -> Option<f64> {
+    /// completed durations, sorted by [`f64::total_cmp`], or `None`
+    /// when no timeout applies.
+    pub fn timeout_secs(&self, sorted_samples: &[f64]) -> Option<f64> {
         match *self {
             TimeoutPolicy::None => None,
             TimeoutPolicy::Fixed { seconds } => finite(seconds),
@@ -120,8 +121,8 @@ impl TimeoutPolicy {
                 min_samples,
                 fallback,
             } => {
-                if samples.len() >= min_samples.max(1) {
-                    finite(percentile(samples, q) * multiplier)
+                if sorted_samples.len() >= min_samples.max(1) {
+                    finite(percentile_sorted(sorted_samples, q) * multiplier)
                 } else {
                     finite(fallback)
                 }
@@ -132,6 +133,93 @@ impl TimeoutPolicy {
 
 fn finite(v: f64) -> Option<f64> {
     (v.is_finite() && v > 0.0).then_some(v)
+}
+
+/// Completion-duration samples kept sorted by [`f64::total_cmp`], so a
+/// percentile is read without a copy or a sort. With a cap only the
+/// newest `cap` samples are kept: an arrival-order ring beside the
+/// sorted copy names the one to evict.
+#[derive(Debug)]
+pub(crate) struct SampleStore {
+    sorted: Vec<f64>,
+    /// The kept samples in arrival order (capped stores only).
+    ring: Vec<f64>,
+    /// Ring slot of the oldest sample once the ring is full.
+    oldest: usize,
+    cap: Option<usize>,
+}
+
+impl SampleStore {
+    /// An empty store; `cap` must be positive when given.
+    pub(crate) fn new(cap: Option<usize>) -> Self {
+        SampleStore {
+            sorted: Vec::new(),
+            ring: Vec::new(),
+            oldest: 0,
+            cap,
+        }
+    }
+
+    /// Add one sample by binary search, evicting the oldest first when
+    /// a capped store is full.
+    pub(crate) fn insert(&mut self, sample: f64) {
+        if let Some(cap) = self.cap {
+            if self.ring.len() < cap {
+                self.ring.push(sample);
+            } else {
+                let evicted = std::mem::replace(&mut self.ring[self.oldest], sample);
+                self.oldest = (self.oldest + 1) % cap;
+                let at = self
+                    .sorted
+                    .partition_point(|x| x.total_cmp(&evicted).is_lt());
+                self.sorted.remove(at);
+            }
+        }
+        let at = self
+            .sorted
+            .partition_point(|x| x.total_cmp(&sample).is_le());
+        self.sorted.insert(at, sample);
+    }
+
+    pub(crate) fn sorted(&self) -> &[f64] {
+        &self.sorted
+    }
+}
+
+/// One processor's timeout budget, cached. The budget is a pure
+/// function of the policy and the completed samples, so it is
+/// recomputed when a sample is recorded, not per pending job on every
+/// wake of the enactor.
+#[derive(Debug)]
+pub(crate) struct TimeoutBudget {
+    policy: TimeoutPolicy,
+    samples: SampleStore,
+    secs: Option<f64>,
+}
+
+impl TimeoutBudget {
+    /// `cap` bounds the samples kept (see [`SampleStore`]).
+    pub(crate) fn new(policy: TimeoutPolicy, cap: Option<usize>) -> Self {
+        TimeoutBudget {
+            policy,
+            samples: SampleStore::new(cap),
+            secs: policy.timeout_secs(&[]),
+        }
+    }
+
+    /// Record one successful submission→delivery duration. Only an
+    /// adaptive policy reads samples, so the others keep none.
+    pub(crate) fn record(&mut self, sample: f64) {
+        if let TimeoutPolicy::Adaptive { .. } = self.policy {
+            self.samples.insert(sample);
+            self.secs = self.policy.timeout_secs(self.samples.sorted());
+        }
+    }
+
+    /// The current budget in seconds; `None` → no timeout applies.
+    pub(crate) fn secs(&self) -> Option<f64> {
+        self.secs
+    }
 }
 
 /// What to do when the timeout fires.
@@ -394,6 +482,91 @@ mod tests {
             fallback: f64::INFINITY,
         };
         assert_eq!(disabled.timeout_secs(&[]), None, "no budget in warm-up");
+    }
+
+    /// A seeded Fisher–Yates shuffle.
+    fn shuffled(values: &[f64], rng: &mut Rng) -> Vec<f64> {
+        let mut out = values.to_vec();
+        for i in (1..out.len()).rev() {
+            out.swap(i, rng.index(i + 1));
+        }
+        out
+    }
+
+    /// Insert `values` one by one; after each insert every percentile
+    /// read from the store must equal, bit for bit, the copy-and-sort
+    /// percentile of the samples it should keep, shuffled.
+    fn check_store(cap: Option<usize>, values: &[f64]) {
+        let mut store = SampleStore::new(cap);
+        let mut rng = Rng::new(values.len() as u64);
+        for n in 1..=values.len() {
+            store.insert(values[n - 1]);
+            let kept = &values[cap.map_or(0, |c| n.saturating_sub(c))..n];
+            let kept = shuffled(kept, &mut rng);
+            assert_eq!(store.sorted().len(), kept.len());
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                assert_eq!(
+                    percentile_sorted(store.sorted(), q).to_bits(),
+                    moteur_gridsim::percentile(&kept, q).to_bits(),
+                    "cap {cap:?}, after {n} inserts, q = {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sample_store_percentiles_match_copy_and_sort() {
+        // One sample, then two, then duplicates and both zeros.
+        let values = [
+            3.0, 1.0, 0.0, -0.0, 3.0, 2.5, -0.0, 0.0, 1e-300, 7.0, 1.0, 1.0, -2.0, 0.0,
+        ];
+        check_store(None, &values);
+        check_store(Some(1), &values);
+        check_store(Some(2), &values);
+        check_store(Some(5), &values);
+        let mut rng = Rng::new(7);
+        let noisy: Vec<f64> = (0..300)
+            .map(|_| (rng.uniform() * 20.0).floor() * 0.5)
+            .collect();
+        check_store(None, &noisy);
+        check_store(Some(64), &noisy);
+    }
+
+    #[test]
+    fn zeros_keep_their_total_order_in_the_store() {
+        let mut store = SampleStore::new(None);
+        for v in [0.0, -0.0, 0.0, -0.0] {
+            store.insert(v);
+        }
+        let bits: Vec<u64> = store.sorted().iter().map(|v| v.to_bits()).collect();
+        let (neg, pos) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+        assert_eq!(bits, vec![neg, neg, pos, pos]);
+        assert_eq!(percentile_sorted(store.sorted(), 0.0).to_bits(), neg);
+    }
+
+    #[test]
+    fn cached_budget_follows_recorded_samples() {
+        let adaptive = TimeoutPolicy::Adaptive {
+            percentile: 0.5,
+            multiplier: 3.0,
+            min_samples: 3,
+            fallback: 1000.0,
+        };
+        let mut budget = TimeoutBudget::new(adaptive, None);
+        assert_eq!(budget.secs(), Some(1000.0), "warm-up fallback");
+        budget.record(30.0);
+        budget.record(10.0);
+        assert_eq!(budget.secs(), Some(1000.0), "still warming up");
+        budget.record(20.0);
+        assert_eq!(budget.secs(), Some(60.0), "3 × median of 10/20/30");
+        let mut fixed = TimeoutBudget::new(TimeoutPolicy::Fixed { seconds: 5.0 }, None);
+        fixed.record(1.0);
+        assert_eq!(fixed.secs(), Some(5.0));
+        assert!(
+            fixed.samples.sorted().is_empty(),
+            "only adaptive keeps samples"
+        );
+        assert_eq!(TimeoutBudget::new(TimeoutPolicy::None, None).secs(), None);
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use obs::{SimEvent, SimObserver};
 pub use rng::{Distribution, Rng};
 pub use sim::GridSim;
 pub use time::{SimDuration, SimTime};
-pub use trace::{percentile, summarize, TraceSummary};
+pub use trace::{percentile, percentile_sorted, summarize, TraceSummary};

@@ -30,11 +30,18 @@ pub struct TraceSummary {
 /// `totalOrder` (after all finite values) instead of destabilising the
 /// sort.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
+    percentile_sorted(&sorted, q)
+}
+
+/// [`percentile`] of a sample already sorted by [`f64::total_cmp`]:
+/// the interpolation alone, with no copy and no sort. Callers that
+/// keep their samples sorted read a percentile in O(1).
+pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let rank = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -186,6 +193,25 @@ mod tests {
         assert!((percentile(&two, 0.25) - 12.5).abs() < 1e-12);
         assert_eq!(percentile(&two, 1.0), 20.0);
         assert_eq!(percentile(&two, 5.0), 20.0);
+    }
+
+    #[test]
+    fn percentile_sorted_is_the_kernel_of_percentile() {
+        assert_eq!(percentile_sorted(&[], 0.5), 0.0);
+        let unsorted = [2.0, -0.0, 5.0, 0.0, 2.0, 1.0];
+        let mut sorted = unsorted.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        for q in [0.0, 0.2, 0.5, 0.7, 1.0, -1.0, 2.0] {
+            assert_eq!(
+                percentile_sorted(&sorted, q).to_bits(),
+                percentile(&unsorted, q).to_bits(),
+                "q = {q}"
+            );
+        }
+        assert_eq!(
+            percentile_sorted(&sorted, 0.0).to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!    and therefore excluded from the canonical JSON document (see
 //!    [`ProfReport`]) — they surface in the human hot-spot table, the
 //!    collapsed-stack export and the OpenMetrics counters instead.
-//! 3. **Cheap when on.** Slots are relaxed atomics; a scope costs two
-//!    monotonic clock reads plus a handful of uncontended atomic adds.
+//! 3. **Cheap when on.** Slots and the call-path table are relaxed
+//!    atomics; a scope costs two monotonic clock reads plus a handful
+//!    of uncontended atomic adds, and takes no lock.
 //!
 //! Timers are *inclusive*: a `provenance_key` scope entered inside the
 //! `enactor_loop` scope counts toward both. The per-path table (used by
@@ -125,9 +126,85 @@ struct PathStat {
 #[derive(Debug)]
 struct ProfInner {
     slots: [Slot; N_SUBSYSTEMS],
-    /// Packed call path → stats. `BTreeMap` so snapshots iterate in a
-    /// deterministic order regardless of discovery order.
-    paths: Mutex<BTreeMap<u64, PathStat>>,
+    paths: PathTable,
+}
+
+/// Capacity of the lock-free part of the [`PathTable`]; a program has
+/// a handful of distinct call paths.
+const PATH_SLOTS: usize = 64;
+
+/// Packed call path → stats, without a lock on the hot path: an
+/// open-addressing table of atomics (a slot is claimed by a
+/// compare-and-swap of its key from 0, and packed paths are never 0).
+/// Paths beyond its capacity go to a locked overflow map. Orderings
+/// are `Relaxed`: the counters are statistics and publish no other
+/// data, and a key, once claimed, never changes.
+#[derive(Debug)]
+struct PathTable {
+    keys: [AtomicU64; PATH_SLOTS],
+    calls: [AtomicU64; PATH_SLOTS],
+    wall_nanos: [AtomicU64; PATH_SLOTS],
+    overflow: Mutex<BTreeMap<u64, PathStat>>,
+}
+
+impl PathTable {
+    fn new() -> Self {
+        PathTable {
+            keys: std::array::from_fn(|_| AtomicU64::new(0)),
+            calls: std::array::from_fn(|_| AtomicU64::new(0)),
+            wall_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
+            overflow: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    fn add(&self, path: u64, calls: u64, wall_nanos: u64) {
+        let home = (path.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        for probe in 0..PATH_SLOTS {
+            let i = (home + probe) % PATH_SLOTS;
+            let mut key = self.keys[i].load(Ordering::Relaxed);
+            if key == 0 {
+                key = match self.keys[i].compare_exchange(
+                    0,
+                    path,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => path,
+                    Err(owner) => owner,
+                };
+            }
+            if key == path {
+                self.calls[i].fetch_add(calls, Ordering::Relaxed);
+                self.wall_nanos[i].fetch_add(wall_nanos, Ordering::Relaxed);
+                return;
+            }
+        }
+        let mut overflow = self.overflow.lock().expect("prof path lock poisoned");
+        let stat = overflow.entry(path).or_default();
+        stat.calls += calls;
+        stat.wall_nanos += wall_nanos;
+    }
+
+    /// Every recorded path in packed-path order, so snapshots iterate
+    /// deterministically regardless of discovery order.
+    fn snapshot(&self) -> BTreeMap<u64, PathStat> {
+        let mut out = self
+            .overflow
+            .lock()
+            .expect("prof path lock poisoned")
+            .clone();
+        for i in 0..PATH_SLOTS {
+            let key = self.keys[i].load(Ordering::Relaxed);
+            if key != 0 {
+                let stat = PathStat {
+                    calls: self.calls[i].load(Ordering::Relaxed),
+                    wall_nanos: self.wall_nanos[i].load(Ordering::Relaxed),
+                };
+                out.insert(key, stat);
+            }
+        }
+        out
+    }
 }
 
 thread_local! {
@@ -184,7 +261,7 @@ impl Prof {
         Prof {
             inner: Some(Arc::new(ProfInner {
                 slots: Default::default(),
-                paths: Mutex::new(BTreeMap::new()),
+                paths: PathTable::new(),
             })),
         }
     }
@@ -239,10 +316,7 @@ impl Prof {
         slot.calls.fetch_add(calls, Ordering::Relaxed);
         slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
         let path = push_path(CURRENT_PATH.with(Cell::get), subsystem);
-        let mut paths = inner.paths.lock().expect("prof path lock poisoned");
-        let stat = paths.entry(path).or_default();
-        stat.calls += calls;
-        stat.wall_nanos += wall_nanos;
+        inner.paths.add(path, calls, wall_nanos);
     }
 
     /// Snapshot the counters into an immutable report.
@@ -265,8 +339,7 @@ impl Prof {
             .collect();
         let paths = inner
             .paths
-            .lock()
-            .expect("prof path lock poisoned")
+            .snapshot()
             .iter()
             .map(|(&packed, &stat)| PathEntry {
                 stack: unpack_path(packed).join(";"),
@@ -312,15 +385,14 @@ impl Drop for ProfScope<'_> {
         let slot = &scope.inner.slots[scope.subsystem.index()];
         slot.calls.fetch_add(1, Ordering::Relaxed);
         slot.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
-        slot.allocs
-            .fetch_add(allocs.saturating_sub(scope.start_allocs), Ordering::Relaxed);
-        slot.alloc_bytes
-            .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
+        if (allocs, bytes) != (scope.start_allocs, scope.start_bytes) {
+            slot.allocs
+                .fetch_add(allocs.saturating_sub(scope.start_allocs), Ordering::Relaxed);
+            slot.alloc_bytes
+                .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
+        }
         CURRENT_PATH.with(|c| c.set(scope.prev_path));
-        let mut paths = scope.inner.paths.lock().expect("prof path lock poisoned");
-        let stat = paths.entry(scope.path).or_default();
-        stat.calls += 1;
-        stat.wall_nanos += nanos;
+        scope.inner.paths.add(scope.path, 1, nanos);
     }
 }
 
@@ -578,6 +650,27 @@ mod tests {
             assert_eq!(Subsystem::from_name(s.name()), Some(s));
         }
         assert_eq!(Subsystem::from_name("nope"), None);
+    }
+
+    #[test]
+    fn paths_beyond_the_lock_free_table_are_kept_in_order() {
+        let prof = Prof::enabled();
+        // 8 roots plus 64 two-frame paths: more than `PATH_SLOTS`.
+        for outer in Subsystem::ALL {
+            let _outer = prof.scope(outer);
+            for inner in Subsystem::ALL {
+                let _inner = prof.scope(inner);
+            }
+        }
+        let report = prof.report();
+        let n = Subsystem::ALL.len();
+        assert!(n * n + n > PATH_SLOTS);
+        assert_eq!(report.paths.len(), n * n + n);
+        assert!(report.paths.iter().all(|p| p.calls == 1));
+        let stacks: Vec<&str> = report.paths.iter().map(|p| p.stack.as_str()).collect();
+        assert_eq!(&stacks[..3], ["enactor_loop", "fire", "pick_ce"]);
+        assert_eq!(stacks[n], "enactor_loop;enactor_loop");
+        assert_eq!(stacks[stacks.len() - 1], "sinks;sinks");
     }
 
     #[test]
