@@ -12,6 +12,11 @@
 //! paper's "several data-intensive applications share one data
 //! manager" scenario, where the second tenant's identical submission
 //! must not recompute what the first already derived.
+//!
+//! The wave is also timed against one four times larger, each on a
+//! fresh daemon, and the log-ratio of the two wall times is a scaling
+//! exponent that does not depend on the host: 1 means the daemon's
+//! cost per submission stays flat as its queue grows.
 
 use crate::bronze::{bronze_chain_workflow_xml, IMAGE_BYTES};
 use moteur::obs::json::{array, JsonObject};
@@ -22,6 +27,10 @@ use moteur::{
 
 /// Schema tag of [`render_daemon_json`].
 pub const DAEMON_BENCH_SCHEMA: &str = "moteur-bench/daemon/v1";
+
+/// Wave pairs (n submissions, then 4n) the scaling exponent is the
+/// median over.
+pub const SCALING_PAIRS: usize = 3;
 
 /// Per-tenant slice of the wave.
 #[derive(Debug, Clone)]
@@ -53,6 +62,9 @@ pub struct DaemonReport {
     pub cross_tenant_misses: u64,
     pub store_entries: usize,
     pub tenants: Vec<TenantRow>,
+    /// log4 of the wall time of a 4n-submission wave over an
+    /// n-submission wave, median over [`SCALING_PAIRS`] pairs.
+    pub scaling_exp: f64,
 }
 
 impl DaemonReport {
@@ -95,10 +107,37 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Run the wave: one cold seed enactment, then `n_workflows` identical
+/// Run the campaign: [`SCALING_PAIRS`] pairs of waves of `n_workflows`
+/// and `4 × n_workflows` submissions, each on a fresh daemon. The
+/// report is the first n-wave's, with the median scaling exponent.
+pub fn run_daemon_campaign(
+    n_workflows: usize,
+    n_tenants: usize,
+    n_data: usize,
+) -> Result<DaemonReport, MoteurError> {
+    let mut first = None;
+    let mut exps = Vec::with_capacity(SCALING_PAIRS);
+    for _ in 0..SCALING_PAIRS {
+        let small = run_wave(n_workflows, n_tenants, n_data)?;
+        let big = run_wave(4 * n_workflows, n_tenants, n_data)?;
+        if big.succeeded != big.n_workflows {
+            return Err(MoteurError::new(format!(
+                "scaling wave: {} of {} submissions succeeded",
+                big.succeeded, big.n_workflows
+            )));
+        }
+        exps.push((big.wall_secs / small.wall_secs).log(4.0));
+        first.get_or_insert(small);
+    }
+    let mut report = first.expect("SCALING_PAIRS is positive");
+    report.scaling_exp = moteur_analysis::stats::median(&exps);
+    Ok(report)
+}
+
+/// One wave: a cold seed enactment, then `n_workflows` identical
 /// submissions spread round-robin over `n_tenants` tenants, drained to
 /// completion on a shared virtual-time backend.
-pub fn run_daemon_campaign(
+fn run_wave(
     n_workflows: usize,
     n_tenants: usize,
     n_data: usize,
@@ -202,6 +241,7 @@ pub fn run_daemon_campaign(
         cross_tenant_misses,
         store_entries: daemon.store().stats().entries,
         tenants,
+        scaling_exp: f64::NAN,
     })
 }
 
@@ -234,6 +274,7 @@ pub fn render_daemon_json(report: &DaemonReport) -> String {
         .num("cross_tenant_hit_ratio", report.cross_tenant_hit_ratio())
         .uint("store_entries", report.store_entries as u64)
         .raw("tenants", &tenants)
+        .num("scaling_exp", report.scaling_exp)
         .finish()
 }
 
@@ -265,6 +306,13 @@ pub fn render_daemon(report: &DaemonReport) -> String {
         report.seed_jobs,
         report.store_entries
     );
+    let _ = writeln!(
+        out,
+        "  scaling: a {}-submission wave over a {}-submission one, exponent {:.2} (median of {SCALING_PAIRS} pairs; 1 is linear)",
+        4 * report.n_workflows,
+        report.n_workflows,
+        report.scaling_exp
+    );
     for t in &report.tenants {
         let _ = writeln!(
             out,
@@ -290,6 +338,7 @@ mod tests {
         assert_eq!(r.tenants.len(), 4);
         assert!(r.tenants.iter().all(|t| t.workflows == 2));
         assert!(r.ttfj_p99_secs >= r.ttfj_p50_secs);
+        assert!(r.scaling_exp.is_finite(), "{r:?}");
     }
 
     #[test]
@@ -299,6 +348,7 @@ mod tests {
         assert!(json.contains("\"schema\":\"moteur-bench/daemon/v1\""));
         assert!(json.contains("\"cross_tenant_hit_ratio\""));
         assert!(json.contains("\"ttfj_p99_secs\""));
+        assert!(json.contains("\"scaling_exp\""));
         let human = render_daemon(&r);
         assert!(human.contains("hit ratio"));
         assert!(human.contains("time-to-first-job"));

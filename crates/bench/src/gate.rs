@@ -279,11 +279,18 @@ pub const DAEMON_HIT_RATIO_FLOOR: f64 = 0.9;
 /// unless admission or fair dispatch regresses.
 pub const DAEMON_TTFJ_P99_CEILING_SECS: f64 = 600.0;
 
+/// Ceiling on the daemon's scaling exponent (log4 of the wall time of
+/// a 4n-submission wave over an n-submission one). A daemon whose
+/// per-step cost grows with every submission it ever took scales
+/// quadratically, an exponent near 2.
+pub const DAEMON_SCALING_EXP_CEILING: f64 = 1.15;
+
 /// Checks over a `BENCH_daemon.json` document (schema
 /// `moteur-bench/daemon/v1`): every submission in the wave must have
 /// succeeded, the cross-tenant cache-hit ratio must clear
-/// [`DAEMON_HIT_RATIO_FLOOR`], and the p99 time-to-first-job must stay
-/// under [`DAEMON_TTFJ_P99_CEILING_SECS`].
+/// [`DAEMON_HIT_RATIO_FLOOR`], the p99 time-to-first-job must stay
+/// under [`DAEMON_TTFJ_P99_CEILING_SECS`], and the scaling exponent
+/// under [`DAEMON_SCALING_EXP_CEILING`].
 pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
     let value = parse_doc("daemon", crate::daemon::DAEMON_BENCH_SCHEMA, daemon_json)?;
     let num = |field: &str| number("daemon", &value, field);
@@ -291,6 +298,7 @@ pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
     let succeeded = num("succeeded")?;
     let hit_ratio = num("cross_tenant_hit_ratio")?;
     let ttfj_p99 = num("ttfj_p99_secs")?;
+    let scaling_exp = num("scaling_exp")?;
     Ok(vec![
         GateCheck::new(
             "daemon/completed",
@@ -309,6 +317,12 @@ pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
             DAEMON_TTFJ_P99_CEILING_SECS,
             ttfj_p99,
             ttfj_p99 <= DAEMON_TTFJ_P99_CEILING_SECS,
+        ),
+        GateCheck::new(
+            "daemon/scaling_exp",
+            DAEMON_SCALING_EXP_CEILING,
+            scaling_exp,
+            scaling_exp <= DAEMON_SCALING_EXP_CEILING,
         ),
     ])
 }
@@ -653,10 +667,11 @@ mod tests {
             cross_tenant_misses: 0,
             store_entries: 10,
             tenants: Vec::new(),
+            scaling_exp: 1.0,
         };
         let json = crate::daemon::render_daemon_json(&report);
         let checks = check_daemon(&json).unwrap();
-        assert_eq!(checks.len(), 3);
+        assert_eq!(checks.len(), 4);
         assert!(checks.iter().all(|c| c.ok), "{checks:?}");
 
         // A lost workflow trips the completion check …
@@ -671,10 +686,15 @@ mod tests {
         );
         let checks = check_daemon(&cold).unwrap();
         assert!(!checks[1].ok, "{checks:?}");
-        // … and a starved submission trips the admission ceiling.
+        // … a starved submission trips the admission ceiling.
         let starved = json.replacen("\"ttfj_p99_secs\":120", "\"ttfj_p99_secs\":1e9", 1);
         let checks = check_daemon(&starved).unwrap();
         assert!(!checks[2].ok, "{checks:?}");
+        // … and a daemon slowing down as its queue grows trips the
+        // scaling ceiling.
+        let quadratic = json.replacen("\"scaling_exp\":1", "\"scaling_exp\":2", 1);
+        let checks = check_daemon(&quadratic).unwrap();
+        assert!(!checks[3].ok, "{checks:?}");
 
         assert!(check_daemon("{\"schema\":\"other/v1\"}").is_err());
         assert!(check_daemon("{").is_err());

@@ -63,7 +63,7 @@ fn gate(dir: &TempDir, extra: &[&str]) -> Output {
 
 fn daemon_doc(ttfj_p99_secs: f64) -> String {
     format!(
-        r#"{{"schema":"moteur-bench/daemon/v1","n_workflows":10,"succeeded":10,"cross_tenant_hit_ratio":1,"ttfj_p99_secs":{ttfj_p99_secs}}}"#
+        r#"{{"schema":"moteur-bench/daemon/v1","n_workflows":10,"succeeded":10,"cross_tenant_hit_ratio":1,"ttfj_p99_secs":{ttfj_p99_secs},"scaling_exp":1}}"#
     )
 }
 

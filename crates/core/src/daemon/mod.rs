@@ -36,7 +36,7 @@ use crate::graph::Workflow;
 use crate::obs::Obs;
 use crate::store::{DataStore, StoreStats};
 use moteur_gridsim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// How the daemon turns SCUFL source into an enactable workflow.
 ///
@@ -145,7 +145,8 @@ enum Body {
 
 struct Slot {
     id: u32,
-    tenant: String,
+    /// Index into [`Daemon::tenants`].
+    tenant: usize,
     workflow_name: String,
     state: InstanceState,
     submitted_at: SimTime,
@@ -168,10 +169,36 @@ impl Slot {
     }
 }
 
-#[derive(Default)]
 struct TenantState {
+    name: String,
+    /// Running instance ids, ascending (submission order).
+    running: VecDeque<u32>,
+    /// Queued instance ids, ascending: admission is FIFO per tenant.
+    queued: VecDeque<u32>,
     store_hits: u64,
     store_misses: u64,
+}
+
+/// Insert `id` into an ascending id list (no-op when present).
+fn insert_id(ids: &mut VecDeque<u32>, id: u32) {
+    if let Err(pos) = ids.binary_search(&id) {
+        ids.insert(pos, id);
+    }
+}
+
+/// Remove `id` from an ascending id list (no-op when absent).
+fn remove_id(ids: &mut VecDeque<u32>, id: u32) {
+    if let Ok(pos) = ids.binary_search(&id) {
+        ids.remove(pos);
+    }
+}
+
+/// The smallest id in an ascending list greater than `after` (or the
+/// first one for `None`): a cursor that survives the removal of the
+/// id it stands on, so callers can walk a list they mutate.
+fn next_id(ids: &VecDeque<u32>, after: Option<u32>) -> Option<u32> {
+    let pos = after.map_or(0, |a| ids.partition_point(|&x| x <= a));
+    ids.get(pos).copied()
 }
 
 /// Point-in-time view of one instance, rendered by `status` / `list`.
@@ -228,13 +255,24 @@ pub struct DaemonMetrics {
 }
 
 /// The multi-tenant enactment service.
+///
+/// Scheduling state is indexed, not re-derived: each tenant keeps its
+/// running and queued ids, and the daemon keeps every running id, all
+/// updated in one place as instances move between states. A step
+/// therefore costs O(tenants + running instances touched), not
+/// O(every submission ever taken).
 pub struct Daemon {
     backend: Box<dyn Backend>,
     store: DataStore,
     parser: ScuflParser,
     config: DaemonConfig,
-    tenants: BTreeMap<String, TenantState>,
+    /// Tenants in first-submission order; slots refer to them by index.
+    tenants: Vec<TenantState>,
+    /// Tenant indices sorted by name: the dispatch and metrics order.
+    tenant_order: Vec<usize>,
     slots: Vec<Slot>,
+    /// Running instance ids across all tenants, ascending.
+    running: VecDeque<u32>,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -259,8 +297,10 @@ impl Daemon {
             store,
             parser,
             config,
-            tenants: BTreeMap::new(),
+            tenants: Vec::new(),
+            tenant_order: Vec::new(),
             slots: Vec::new(),
+            running: VecDeque::new(),
         }
     }
 
@@ -314,10 +354,12 @@ impl Daemon {
         let (workflow, inputs) = (self.parser)(workflow_xml, inputs_xml)?;
         let id = u32::try_from(self.slots.len() + 1)
             .map_err(|_| MoteurError::new("daemon instance table full"))?;
-        self.tenants.entry(tenant.into()).or_default();
+        let t = self.tenant_index(tenant);
+        // Ids only grow, so pushing keeps the queue ascending.
+        self.tenants[t].queued.push_back(id);
         self.slots.push(Slot {
             id,
-            tenant: tenant.into(),
+            tenant: t,
             workflow_name: workflow.name.clone(),
             state: InstanceState::Queued,
             submitted_at: self.backend.now(),
@@ -361,8 +403,8 @@ impl Daemon {
             instance.abort(&mut ctx);
         }
         slot.body = Body::Finished;
-        slot.state = InstanceState::Cancelled;
         slot.finished_at = Some(self.backend.now());
+        self.set_state(i, InstanceState::Cancelled);
         // A workflow slot freed up; admit queued work.
         self.schedule();
         true
@@ -395,15 +437,18 @@ impl Daemon {
             }
         }
         let tenants = self
-            .tenants
+            .tenant_order
             .iter()
-            .map(|(name, t)| TenantMetrics {
-                tenant: name.clone(),
-                running: self.count_state(name, InstanceState::Running),
-                queued: self.count_state(name, InstanceState::Queued),
-                inflight_jobs: self.tenant_inflight_jobs(name),
-                store_hits: t.store_hits,
-                store_misses: t.store_misses,
+            .map(|&t| {
+                let ts = &self.tenants[t];
+                TenantMetrics {
+                    tenant: ts.name.clone(),
+                    running: ts.running.len(),
+                    queued: ts.queued.len(),
+                    inflight_jobs: self.tenant_inflight_jobs(t),
+                    store_hits: ts.store_hits,
+                    store_misses: ts.store_misses,
+                }
             })
             .collect();
         DaemonMetrics {
@@ -423,21 +468,14 @@ impl Daemon {
     /// `false` once no instance is queued or running.
     pub fn step(&mut self) -> bool {
         self.schedule();
-        let live: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.state == InstanceState::Running)
-            .map(|s| s.id)
-            .collect();
-        if live.is_empty() {
+        if self.running.is_empty() {
             // Queued without running can only mean admission is wedged
             // (a tenant configured with zero workflow slots).
             return false;
         }
         let mut wake: Option<SimTime> = None;
-        for &id in &live {
-            let i = self.slot_index(id).expect("listed above");
-            if let Body::Running(instance) = &self.slots[i].body {
+        for &id in &self.running {
+            if let Body::Running(instance) = &self.slots[id as usize - 1].body {
                 if let Some(w) = instance.next_wake() {
                     wake = Some(wake.map_or(w, |c| c.min(w)));
                 }
@@ -450,7 +488,7 @@ impl Daemon {
                     // Running instances but nothing at the backend and
                     // no timer: the shared backend lost their jobs.
                     // Fail them rather than spin forever.
-                    for id in live {
+                    while let Some(&id) = self.running.front() {
                         self.fail(
                             id,
                             "backend returned no completion for in-flight work".into(),
@@ -461,8 +499,12 @@ impl Daemon {
             Some(deadline) => match self.backend.wait_next_until(deadline) {
                 WaitOutcome::Completion(c) => self.route(c),
                 WaitOutcome::TimedOut => {
-                    for id in live {
+                    // A timer can only fail its own instance, so the
+                    // cursor visits exactly the instances running now.
+                    let mut cursor = next_id(&self.running, None);
+                    while let Some(id) = cursor {
                         self.timer(id);
+                        cursor = next_id(&self.running, Some(id));
                     }
                 }
             },
@@ -491,7 +533,7 @@ impl Daemon {
     fn status_of(&self, s: &Slot) -> InstanceStatus {
         InstanceStatus {
             id: s.id,
-            tenant: s.tenant.clone(),
+            tenant: self.tenants[s.tenant].name.clone(),
             workflow: s.workflow_name.clone(),
             state: s.state,
             submitted_at: s.submitted_at.as_secs_f64(),
@@ -506,19 +548,64 @@ impl Daemon {
         }
     }
 
-    fn count_state(&self, tenant: &str, state: InstanceState) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.tenant == tenant && s.state == state)
-            .count()
+    /// Where `tenant` sits (or would sit) in [`Daemon::tenant_order`].
+    fn tenant_position(&self, tenant: &str) -> Result<usize, usize> {
+        self.tenant_order
+            .binary_search_by(|&t| self.tenants[t].name.as_str().cmp(tenant))
     }
 
-    fn tenant_inflight_jobs(&self, tenant: &str) -> usize {
-        self.slots
+    /// The index of `tenant`, registering it on first sight.
+    fn tenant_index(&mut self, tenant: &str) -> usize {
+        match self.tenant_position(tenant) {
+            Ok(k) => self.tenant_order[k],
+            Err(k) => {
+                let t = self.tenants.len();
+                self.tenants.push(TenantState {
+                    name: tenant.into(),
+                    running: VecDeque::new(),
+                    queued: VecDeque::new(),
+                    store_hits: 0,
+                    store_misses: 0,
+                });
+                self.tenant_order.insert(k, t);
+                t
+            }
+        }
+    }
+
+    /// Can `tenant` admit one more workflow?
+    fn has_room(&self, tenant: &TenantState) -> bool {
+        tenant.running.len() < self.config.tenant(&tenant.name).max_inflight_workflows
+    }
+
+    /// Jobs in flight across tenant `t`'s running instances.
+    fn tenant_inflight_jobs(&self, t: usize) -> usize {
+        self.tenants[t]
+            .running
             .iter()
-            .filter(|s| s.tenant == tenant)
-            .map(Slot::inflight)
+            .map(|&id| self.slots[id as usize - 1].inflight())
             .sum()
+    }
+
+    /// Move slot `i` to `state`, keeping the running and queued
+    /// indexes in step. Every state change after submission goes
+    /// through here; instances are queued only by `submit`.
+    fn set_state(&mut self, i: usize, state: InstanceState) {
+        let (id, old) = (self.slots[i].id, self.slots[i].state);
+        let tenant = &mut self.tenants[self.slots[i].tenant];
+        match old {
+            InstanceState::Queued => remove_id(&mut tenant.queued, id),
+            InstanceState::Running => {
+                remove_id(&mut tenant.running, id);
+                remove_id(&mut self.running, id);
+            }
+            _ => {}
+        }
+        if state == InstanceState::Running {
+            insert_id(&mut tenant.running, id);
+            insert_id(&mut self.running, id);
+        }
+        self.slots[i].state = state;
     }
 
     /// Credit a store-stats delta to slot `i` and its tenant.
@@ -529,10 +616,9 @@ impl Daemon {
         let slot = &mut self.slots[i];
         slot.store_hits += hits;
         slot.store_misses += misses;
-        if let Some(t) = self.tenants.get_mut(&slot.tenant) {
-            t.store_hits += hits;
-            t.store_misses += misses;
-        }
+        let tenant = &mut self.tenants[slot.tenant];
+        tenant.store_hits += hits;
+        tenant.store_misses += misses;
     }
 
     fn fail(&mut self, id: u32, message: String) {
@@ -547,9 +633,9 @@ impl Daemon {
             instance.abort(&mut ctx);
         }
         slot.body = Body::Finished;
-        slot.state = InstanceState::Failed;
         slot.error = Some(message);
         slot.finished_at = Some(self.backend.now());
+        self.set_state(i, InstanceState::Failed);
     }
 
     /// Admission + weighted fair dispatch + reaping, to fixpoint.
@@ -573,32 +659,29 @@ impl Daemon {
     /// the one-shot engine's fire-to-fixpoint phase — just interleaved
     /// fairly across tenants.
     fn dispatch_round(&mut self) -> usize {
-        let tenant_names: Vec<String> = self.tenants.keys().cloned().collect();
+        let quantum = self.config.quantum();
         let mut dispatched = 0;
-        for tenant in &tenant_names {
-            let cfg = self.config.tenant(tenant);
+        for k in 0..self.tenant_order.len() {
+            let t = self.tenant_order[k];
+            let cfg = self.config.tenant(&self.tenants[t].name);
             // saturating_mul: an extreme `--weights` value must clamp
             // the budget, not overflow it to a tiny (or panicking) cap.
-            let cap = (cfg.weight as usize)
-                .saturating_mul(self.config.quantum())
-                .min(
-                    cfg.max_inflight_jobs
-                        .saturating_sub(self.tenant_inflight_jobs(tenant)),
-                );
+            let cap = (cfg.weight as usize).saturating_mul(quantum).min(
+                cfg.max_inflight_jobs
+                    .saturating_sub(self.tenant_inflight_jobs(t)),
+            );
             let mut remaining = cap;
-            let ids: Vec<u32> = self
-                .slots
-                .iter()
-                .filter(|s| s.tenant == *tenant && s.state == InstanceState::Running)
-                .map(|s| s.id)
-                .collect();
-            for id in ids {
+            // A pump can only fail its own instance, so the cursor
+            // visits exactly the tenant's instances running now.
+            let mut cursor = next_id(&self.tenants[t].running, None);
+            while let Some(id) = cursor {
                 if remaining == 0 {
                     break;
                 }
                 let fired = self.pump(id, Some(remaining));
                 remaining -= fired.min(remaining);
                 dispatched += fired;
+                cursor = next_id(&self.tenants[t].running, Some(id));
             }
         }
         dispatched
@@ -606,30 +689,29 @@ impl Daemon {
 
     /// Is any queued submission admissible right now?
     fn has_admittable(&self) -> bool {
-        self.slots.iter().any(|s| {
-            s.state == InstanceState::Queued
-                && self.count_state(&s.tenant, InstanceState::Running)
-                    < self.config.tenant(&s.tenant).max_inflight_workflows
-        })
+        self.tenants
+            .iter()
+            .any(|t| !t.queued.is_empty() && self.has_room(t))
     }
 
-    /// Admit queued submissions whose tenant has a free workflow slot.
+    /// Admit queued submissions whose tenant has a free workflow slot,
+    /// lowest id first. Admitting only narrows its own tenant's room,
+    /// so taking the lowest queued id among tenants with room, again
+    /// and again, admits in submission order.
     fn admit(&mut self) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].state != InstanceState::Queued {
-                continue;
-            }
-            let tenant = self.slots[i].tenant.clone();
-            let cfg = self.config.tenant(&tenant);
-            if self.count_state(&tenant, InstanceState::Running) >= cfg.max_inflight_workflows {
-                continue;
-            }
+        while let Some(id) = self
+            .tenants
+            .iter()
+            .filter(|t| self.has_room(t))
+            .filter_map(|t| t.queued.front().copied())
+            .min()
+        {
+            let i = id as usize - 1;
             let body = std::mem::replace(&mut self.slots[i].body, Body::Finished);
             let Body::Queued(work) = body else {
                 unreachable!("queued state carries queued work")
             };
             let before = self.store.stats();
-            let id = self.slots[i].id;
             let mut scoped = ScopedBackend::new(self.backend.as_mut(), id);
             let mut ctx = EnactCtx {
                 backend: &mut scoped,
@@ -645,7 +727,7 @@ impl Daemon {
             ) {
                 Ok(instance) => {
                     self.slots[i].body = Body::Running(Box::new(instance));
-                    self.slots[i].state = InstanceState::Running;
+                    self.set_state(i, InstanceState::Running);
                     self.attribute(i, before);
                 }
                 Err(e) => {
@@ -694,13 +776,17 @@ impl Daemon {
     /// the one-shot loop's exit condition: after a fire-to-fixpoint
     /// with nothing dispatched, zero in-flight work means done.
     fn reap(&mut self) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].state != InstanceState::Running || self.slots[i].inflight() > 0 {
+        // Reaping only ever finishes the instance it stands on, so the
+        // cursor visits exactly the instances running now.
+        let mut cursor = next_id(&self.running, None);
+        while let Some(id) = cursor {
+            cursor = next_id(&self.running, Some(id));
+            let i = id as usize - 1;
+            if self.slots[i].inflight() > 0 {
                 continue;
             }
             // A final unbudgeted pump distinguishes "done" from "ready
             // work parked behind a budget cap".
-            let id = self.slots[i].id;
             if self.pump(id, None) > 0 || self.slots[i].state != InstanceState::Running {
                 continue;
             }
@@ -711,17 +797,18 @@ impl Daemon {
             let now = self.backend.now();
             let slot = &mut self.slots[i];
             slot.finished_at = Some(now);
-            match instance.finish(now) {
+            let state = match instance.finish(now) {
                 Ok(result) => {
-                    slot.state = InstanceState::Succeeded;
                     slot.jobs_submitted = result.jobs_submitted;
                     slot.makespan_secs = Some(result.makespan.as_secs_f64());
+                    InstanceState::Succeeded
                 }
                 Err(e) => {
-                    slot.state = InstanceState::Failed;
                     slot.error = Some(e.message().into());
+                    InstanceState::Failed
                 }
-            }
+            };
+            self.set_state(i, state);
         }
     }
 

@@ -16,6 +16,10 @@
 //! | `metrics` | — | daemon gauges, per-tenant families, `openmetrics` text |
 //! | `drain` | — | `completed`, `running` |
 //! | `shutdown` | — | `ok` (server exits after responding) |
+//!
+//! A request line longer than [`MAX_REQUEST_BYTES`] is answered with
+//! one error response and skipped up to its newline; the session goes
+//! on.
 
 use super::{Daemon, InstanceStatus};
 use crate::config::EnactorConfig;
@@ -23,10 +27,16 @@ use crate::error::MoteurError;
 use crate::ft::FtConfig;
 use crate::obs::json::JsonValue;
 use crate::obs::json::{array, JsonObject};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Schema tag carried by every protocol message.
 pub const DAEMON_SCHEMA: &str = "moteur/daemon/v1";
+
+/// Longest request line [`serve`] reads, in bytes, newline excluded.
+/// A `submit` carries whole SCUFL and input documents inline; this
+/// leaves them room while bounding what one line can make the daemon
+/// buffer.
+pub const MAX_REQUEST_BYTES: usize = 8 << 20;
 
 /// A parsed control request.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,16 +312,29 @@ pub fn apply(daemon: &mut Daemon, req: &Request) -> String {
 /// the connection).
 pub fn serve<R: BufRead, W: Write>(
     daemon: &mut Daemon,
-    input: R,
+    mut input: R,
     out: &mut W,
 ) -> std::io::Result<bool> {
-    for line in input.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut input).take(cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(false);
         }
-        let (response, shutdown) = match Request::parse(line) {
+        let parsed = if buf.len() as u64 == cap && buf.last() != Some(&b'\n') {
+            input.skip_until(b'\n')?;
+            Err(format!(
+                "request longer than {MAX_REQUEST_BYTES} bytes; skipped"
+            ))
+        } else {
+            match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(line) => Request::parse(line),
+                Err(_) => Err("request is not valid UTF-8".to_string()),
+            }
+        };
+        let (response, shutdown) = match parsed {
             Ok(req) => {
                 let shutdown = matches!(req, Request::Shutdown);
                 (apply(daemon, &req), shutdown)
@@ -324,7 +347,6 @@ pub fn serve<R: BufRead, W: Write>(
             return Ok(true);
         }
     }
-    Ok(false)
 }
 
 /// Round-trip every `moteur/daemon/v1` request type through render +
@@ -406,17 +428,51 @@ mod tests {
         assert!(!continue_on_error);
     }
 
-    #[test]
-    fn deeply_nested_line_gets_an_error_and_the_session_goes_on() {
+    fn test_daemon() -> Daemon {
         use crate::backend::VirtualBackend;
         use crate::daemon::DaemonConfig;
         use crate::store::{DataStore, StoreConfig};
-        let mut daemon = Daemon::new(
+        Daemon::new(
             Box::new(VirtualBackend::new()),
             DataStore::in_memory(StoreConfig::default()),
             |_, _| Err(MoteurError::new("no workflow is submitted here")),
             DaemonConfig::default(),
-        );
+        )
+    }
+
+    #[test]
+    fn over_long_and_non_utf8_lines_get_one_error_each_and_the_session_goes_on() {
+        let mut daemon = test_daemon();
+        let list = Request::List.render();
+        // A line one byte over the cap, a `list` padded to exactly the
+        // cap, a line that is not UTF-8, and a `list` ended by EOF
+        // instead of a newline.
+        let mut session = format!(
+            "{}\n{}\n",
+            "x".repeat(MAX_REQUEST_BYTES + 1),
+            " ".repeat(MAX_REQUEST_BYTES - list.len()) + &list
+        )
+        .into_bytes();
+        session.extend_from_slice(b"\xff\xfe\n");
+        session.extend_from_slice(list.as_bytes());
+        let mut out = Vec::new();
+        serve(&mut daemon, session.as_slice(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "{out}");
+        assert!(lines[0].contains("request longer than"), "{}", lines[0]);
+        assert!(lines[2].contains("not valid UTF-8"), "{}", lines[2]);
+        for line in [lines[0], lines[2]] {
+            assert!(line.contains(r#""ok":false"#), "{line}");
+        }
+        for line in [lines[1], lines[3]] {
+            assert!(line.contains(r#""op":"list","ok":true"#), "{line}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_line_gets_an_error_and_the_session_goes_on() {
+        let mut daemon = test_daemon();
         let session = format!("{}\n{}\n", "[".repeat(200_000), Request::List.render());
         let mut out = Vec::new();
         serve(&mut daemon, session.as_bytes(), &mut out).unwrap();

@@ -303,6 +303,16 @@ pub struct WorkflowInstance {
     /// SCC id per processor and whether that SCC is a real cycle.
     scc_ids: Vec<usize>,
     in_cycle: Vec<bool>,
+    /// Direct data predecessors per processor (deduplicated), computed
+    /// once: the firing gates consult them on every pass.
+    preds: Vec<Vec<ProcId>>,
+    /// Per processor, "will emit no more tokens": recomputed at the
+    /// start of every fire round into this reused buffer.
+    exhausted: Vec<bool>,
+    /// Set when the last pump fired to fixpoint; cleared by anything
+    /// that can make new work ready (a completion, a timer, a pump cut
+    /// off by its budget). While set, a pump has nothing to fire.
+    at_fixpoint: bool,
     pending: HashMap<u64, PendingJob>,
     next_invocation: u64,
     jobs_submitted: usize,
@@ -419,17 +429,27 @@ impl WorkflowInstance {
     /// Advance the instance without waiting: fire every ready
     /// invocation the configuration (and `budget`) permits, then
     /// resubmit any backoff-deferred work that has come due. Returns
-    /// how many invocations were dispatched to the backend.
+    /// how many invocations were dispatched to the backend. An
+    /// instance that fired to fixpoint, has had no completion or timer
+    /// since and holds no backoff deferral returns 0 at once.
     pub fn pump_budgeted<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
         budget: Option<usize>,
     ) -> Result<usize, MoteurError> {
+        // Backoff deferrals come due with the clock, not with instance
+        // state, so only an instance without any can skip the pump.
+        if self.at_fixpoint && self.deferred.is_empty() {
+            return Ok(0);
+        }
         let prof = self.obs.prof().clone();
         let fired = {
             let _prof = prof.scope(Subsystem::Fire);
             self.fire_phase_budgeted(ctx, budget)?
         };
+        // Fewer dispatches than the budget means the fire phase ran
+        // out of work, not out of budget.
+        self.at_fixpoint = budget.is_none_or(|b| fired < b);
         self.service_deferred(ctx)?;
         Ok(fired)
     }
@@ -452,6 +472,7 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         completion: BackendCompletion,
     ) -> Result<(), MoteurError> {
+        self.at_fixpoint = false;
         self.handle_completion(ctx, completion)
     }
 
@@ -463,6 +484,7 @@ impl WorkflowInstance {
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
     ) -> Result<(), MoteurError> {
+        self.at_fixpoint = false;
         self.handle_timeouts(ctx)
     }
 
@@ -534,6 +556,9 @@ impl WorkflowInstance {
                         .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
             })
             .collect();
+        let preds = (0..workflow.processors.len())
+            .map(|p| workflow.data_preds(ProcId(p)))
+            .collect();
         let digests = if ctx.store.is_some() {
             workflow
                 .processors
@@ -572,6 +597,9 @@ impl WorkflowInstance {
             states,
             scc_ids,
             in_cycle,
+            preds,
+            exhausted: Vec::new(),
+            at_fixpoint: false,
             pending: HashMap::new(),
             next_invocation: 0,
             jobs_submitted: 0,
@@ -1054,7 +1082,7 @@ impl WorkflowInstance {
             // cursors. Source emission is not a dispatch and never
             // counts against the daemon's budget.
             let mut fired = self.pump_sources(ctx);
-            let exhausted = self.compute_exhausted();
+            self.compute_exhausted();
             for p in 0..self.workflow.processors.len() {
                 let proc = &self.workflow.processors[p];
                 if proc.kind != ProcessorKind::Service {
@@ -1066,8 +1094,8 @@ impl WorkflowInstance {
                 let local_binding = matches!(proc.binding, Some(ServiceBinding::Local(_)));
                 if synchronization {
                     if !self.states[p].barrier_fired
-                        && self.preds_exhausted(p, &exhausted, true)
-                        && self.control_ok(p, &exhausted)
+                        && self.preds_exhausted(p, &self.exhausted, true)
+                        && self.control_ok(p, &self.exhausted)
                     {
                         self.fire_barrier(ctx, ProcId(p))?;
                         fired = true;
@@ -1076,7 +1104,7 @@ impl WorkflowInstance {
                     continue;
                 }
                 while !self.states[p].ready.is_empty()
-                    && self.can_fire(p, &exhausted)
+                    && self.can_fire(p, &self.exhausted)
                     && budget.is_none_or(|b| dispatched < b)
                 {
                     if let Some(cap) = self.config.port_capacity {
@@ -1101,7 +1129,7 @@ impl WorkflowInstance {
                 // suspended state and resumes when the port drains.
                 if let Some(cap) = self.config.port_capacity {
                     if !self.states[p].ready.is_empty()
-                        && self.can_fire_ignoring_room(p, &exhausted)
+                        && self.can_fire_ignoring_room(p, &self.exhausted)
                         && !self.has_port_room(p, cap)
                     {
                         self.set_suspended(ctx, p, true, cap);
@@ -1141,7 +1169,7 @@ impl WorkflowInstance {
     /// the same cycle are skipped unless `include_cycle` (barriers may
     /// not sit inside cycles anyway).
     fn preds_exhausted(&self, p: usize, exhausted: &[bool], include_cycle: bool) -> bool {
-        self.workflow.data_preds(ProcId(p)).into_iter().all(|q| {
+        self.preds[p].iter().all(|q| {
             if !include_cycle && self.in_cycle[p] && self.scc_ids[q.0] == self.scc_ids[p] {
                 true
             } else {
@@ -1158,10 +1186,13 @@ impl WorkflowInstance {
             .all(|(before, _)| exhausted[before.0])
     }
 
-    /// Fixpoint computation of "will emit no more tokens".
-    fn compute_exhausted(&self) -> Vec<bool> {
+    /// Fixpoint computation of "will emit no more tokens", into
+    /// `self.exhausted`.
+    fn compute_exhausted(&mut self) {
         let n = self.workflow.processors.len();
-        let mut ex = vec![false; n];
+        let mut ex = std::mem::take(&mut self.exhausted);
+        ex.clear();
+        ex.resize(n, false);
         loop {
             let mut changed = false;
             for p in 0..n {
@@ -1182,15 +1213,11 @@ impl WorkflowInstance {
                             // member quiet and every external
                             // predecessor exhausted.
                             let scc = self.scc_ids[p];
-                            let members: Vec<usize> =
-                                (0..n).filter(|&m| self.scc_ids[m] == scc).collect();
-                            members.iter().all(|&m| {
+                            (0..n).filter(|&m| self.scc_ids[m] == scc).all(|m| {
                                 self.states[m].ready.is_empty()
                                     && self.states[m].inflight == 0
-                                    && self
-                                        .workflow
-                                        .data_preds(ProcId(m))
-                                        .into_iter()
+                                    && self.preds[m]
+                                        .iter()
                                         .filter(|q| self.scc_ids[q.0] != scc)
                                         .all(|q| ex[q.0])
                             })
@@ -1209,7 +1236,8 @@ impl WorkflowInstance {
                 }
             }
             if !changed {
-                return ex;
+                self.exhausted = ex;
+                return;
             }
         }
     }
@@ -2656,5 +2684,84 @@ mod tests {
         );
         assert!(steps.most_samples > SAMPLE_RING, "the ring never evicted");
         assert!(steps.expired > 0, "no timeout fired");
+    }
+
+    /// Step one enactment the way the daemon does: budgeted pumps until
+    /// one comes back short, then the round that finds nothing more and
+    /// the reaping pump, then a backend wait. Every pump the fixpoint
+    /// flag skips is re-run with the flag cleared and must fire nothing
+    /// either. Returns how many pumps were skipped.
+    fn skipped_pumps_hide_no_work<B: Backend>(
+        (workflow, inputs): (Workflow, InputData),
+        config: EnactorConfig,
+        ft: FtConfig,
+        budget: Option<usize>,
+        backend: &mut B,
+    ) -> usize {
+        let mut ctx = EnactCtx {
+            backend,
+            store: None,
+        };
+        let mut inst =
+            WorkflowInstance::start(&workflow, &inputs, config, ft, &mut ctx, Obs::off()).unwrap();
+        let mut skipped = 0;
+        let mut pump = |inst: &mut WorkflowInstance, ctx: &mut EnactCtx<'_, B>| {
+            let skip = inst.at_fixpoint && inst.deferred.is_empty();
+            let fired = inst.pump_budgeted(ctx, budget).unwrap();
+            if skip {
+                assert_eq!(fired, 0);
+                inst.at_fixpoint = false;
+                let unskipped = inst.pump_budgeted(ctx, budget).unwrap();
+                assert_eq!(unskipped, 0, "a skipped pump hid ready work");
+                skipped += 1;
+            }
+            fired
+        };
+        loop {
+            while budget.is_some_and(|b| pump(&mut inst, &mut ctx) >= b) {}
+            pump(&mut inst, &mut ctx);
+            pump(&mut inst, &mut ctx);
+            if inst.inflight() == 0 {
+                break;
+            }
+            match inst.next_wake() {
+                None => {
+                    let c = ctx.backend.wait_next().expect("jobs in flight");
+                    inst.deliver(&mut ctx, c).unwrap();
+                }
+                Some(deadline) => match ctx.backend.wait_next_until(deadline) {
+                    WaitOutcome::Completion(c) => inst.deliver(&mut ctx, c).unwrap(),
+                    WaitOutcome::TimedOut => inst.on_timer(&mut ctx).unwrap(),
+                },
+            }
+        }
+        inst.finish(ctx.backend.now()).unwrap();
+        skipped
+    }
+
+    #[test]
+    fn pumps_skipped_at_fixpoint_hide_no_ready_work() {
+        let configs = [
+            EnactorConfig::sp_dp(),
+            EnactorConfig::sp(),
+            EnactorConfig::dp(),
+            EnactorConfig::nop(),
+            EnactorConfig::sp_dp().with_port_capacity(4),
+        ];
+        for (k, config) in configs.into_iter().enumerate() {
+            for budget in [Some(1), Some(3), None] {
+                let skipped = skipped_pumps_hide_no_work(
+                    chain(30),
+                    config,
+                    ft(ADAPTIVE, TimeoutAction::Resubmit),
+                    budget,
+                    &mut egee(k as u64 + 1),
+                );
+                assert!(
+                    skipped > 0,
+                    "config {k}, budget {budget:?}: nothing skipped"
+                );
+            }
+        }
     }
 }

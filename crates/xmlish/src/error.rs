@@ -131,6 +131,8 @@ pub enum XmlErrorKind {
     CharacterOutOfRange { code: u32 },
     /// Non-whitespace content after the root element.
     ContentAfterRoot,
+    /// Elements nested deeper than the parser's limit.
+    TooDeep { limit: usize },
 }
 
 impl fmt::Display for XmlErrorKind {
@@ -160,6 +162,9 @@ impl fmt::Display for XmlErrorKind {
                 write!(f, "character reference out of range (#{code})")
             }
             XmlErrorKind::ContentAfterRoot => write!(f, "content after the root element"),
+            XmlErrorKind::TooDeep { limit } => {
+                write!(f, "elements nested deeper than {limit}")
+            }
         }
     }
 }

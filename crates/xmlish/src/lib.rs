@@ -45,5 +45,5 @@ mod write;
 
 pub use ast::{Element, Node};
 pub use error::{Position, Span, XmlError, XmlErrorKind};
-pub use parse::parse;
+pub use parse::{parse, MAX_DEPTH};
 pub use write::{escape_attr, escape_text};

@@ -1,12 +1,21 @@
-//! Recursive-descent parser over a position-tracking cursor.
+//! Single-pass parser over a position-tracking cursor.
 //!
 //! Every parse failure is a typed [`XmlErrorKind`] carrying the byte
 //! offset where it was detected, and every parsed element/attribute is
 //! annotated with its byte [`Span`] — the raw material for the lint
-//! engine's source-anchored diagnostics.
+//! engine's source-anchored diagnostics. The parser is iterative and
+//! caps element nesting at [`MAX_DEPTH`], so no input can overflow the
+//! stack of the parser or of code that walks the tree it returns.
 
 use crate::ast::{Element, Node};
 use crate::error::{Position, Span, XmlError, XmlErrorKind};
+
+/// Deepest element nesting [`parse`] accepts. The parser itself keeps
+/// open elements on the heap, but whoever walks or drops the tree
+/// recurses once per level. SCUFL and descriptor documents nest fewer
+/// than ten levels; a provenance history nests one level per
+/// derivation step, so the limit leaves room for long chains.
+pub const MAX_DEPTH: usize = 1024;
 
 /// Parse a complete document and return its root element.
 ///
@@ -150,83 +159,25 @@ impl<'a> Cursor<'a> {
         Ok(self.input[start..self.pos].to_string())
     }
 
+    /// Parse one element and everything inside it. Iterative: open
+    /// elements live on an explicit stack, so nesting costs heap, not
+    /// call stack, and stops at [`MAX_DEPTH`].
     fn parse_element(&mut self) -> Result<Element, XmlError> {
-        let open_start = self.pos;
-        self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
-
-        // Attributes.
-        loop {
-            self.skip_whitespace();
-            match self.peek() {
-                Some('>') | Some('/') => break,
-                Some(c) if is_name_start(c) => {
-                    let attr_pos = self.position();
-                    let attr = self.parse_name()?;
-                    self.skip_whitespace();
-                    self.expect("=")?;
-                    self.skip_whitespace();
-                    let value = self.parse_attr_value()?;
-                    if element.attr(&attr).is_some() {
-                        return Err(XmlError::new(
-                            attr_pos,
-                            XmlErrorKind::DuplicateAttribute { name: attr },
-                        ));
-                    }
-                    element.attributes.push((attr, value));
-                    element
-                        .attr_spans
-                        .push(Span::new(attr_pos.offset, self.pos));
-                }
-                _ => return Err(self.error(XmlErrorKind::ExpectedAttribute)),
-            }
+        let (root, closed) = self.parse_start_tag()?;
+        if closed {
+            return Ok(root);
         }
-
-        if self.eat("/>") {
-            element.span = Span::new(open_start, self.pos);
-            return Ok(element);
-        }
-        self.expect(">")?;
-        self.parse_content(&mut element)?;
-        element.span = Span::new(open_start, self.pos);
-        Ok(element)
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String, XmlError> {
-        let Some(quote @ ('"' | '\'')) = self.peek() else {
-            return Err(self.error(XmlErrorKind::ExpectedAttrValue));
-        };
-        self.bump();
-        let mut value = String::new();
+        // Open elements, innermost last, each with its pending text.
+        let mut open = vec![(root, String::new())];
         loop {
-            match self.peek() {
-                None => return Err(self.error(XmlErrorKind::UnterminatedAttrValue)),
-                Some(c) if c == quote => {
-                    self.bump();
-                    return Ok(value);
-                }
-                Some('<') => return Err(self.error(XmlErrorKind::AngleInAttrValue)),
-                Some('&') => value.push(self.parse_reference()?),
-                Some(c) => {
-                    value.push(c);
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    /// Parse children up to and including the matching end tag.
-    fn parse_content(&mut self, element: &mut Element) -> Result<(), XmlError> {
-        let mut text = String::new();
-        loop {
+            let (element, text) = open.last_mut().expect("an element is open");
             if self.at_end() {
                 return Err(self.error(XmlErrorKind::UnclosedElement {
                     name: element.name.clone(),
                 }));
             }
             if self.starts_with("</") {
-                flush_text(&mut text, element);
+                flush_text(text, element);
                 self.expect("</")?;
                 let close_pos = self.position();
                 let close = self.parse_name()?;
@@ -241,7 +192,13 @@ impl<'a> Cursor<'a> {
                 }
                 self.skip_whitespace();
                 self.expect(">")?;
-                return Ok(());
+                let (mut done, _) = open.pop().expect("an element is open");
+                done.span = Span::new(done.span.start, self.pos);
+                match open.last_mut() {
+                    Some((parent, _)) => parent.children.push(Node::Element(done)),
+                    None => return Ok(done),
+                }
+                continue;
             }
             if self.starts_with("<!--") {
                 self.expect("<!--")?;
@@ -280,9 +237,17 @@ impl<'a> Cursor<'a> {
                 continue;
             }
             if self.starts_with("<") {
-                flush_text(&mut text, element);
-                let child = self.parse_element()?;
-                element.children.push(Node::Element(child));
+                flush_text(text, element);
+                if open.len() == MAX_DEPTH {
+                    return Err(self.error(XmlErrorKind::TooDeep { limit: MAX_DEPTH }));
+                }
+                let (child, closed) = self.parse_start_tag()?;
+                if closed {
+                    let (parent, _) = open.last_mut().expect("an element is open");
+                    parent.children.push(Node::Element(child));
+                } else {
+                    open.push((child, String::new()));
+                }
                 continue;
             }
             match self.peek() {
@@ -292,6 +257,74 @@ impl<'a> Cursor<'a> {
                     self.bump();
                 }
                 None => unreachable!("at_end checked above"),
+            }
+        }
+    }
+
+    /// Parse a start tag with its attributes. Returns the element and
+    /// whether it closed itself (`/>`); an element left open carries
+    /// its start offset in its span until its end tag is parsed.
+    fn parse_start_tag(&mut self) -> Result<(Element, bool), XmlError> {
+        let open_start = self.pos;
+        self.expect("<")?;
+        let name = self.parse_name()?;
+        let mut element = Element::new(name);
+
+        // Attributes.
+        loop {
+            self.skip_whitespace();
+            match self.peek() {
+                Some('>') | Some('/') => break,
+                Some(c) if is_name_start(c) => {
+                    let attr_pos = self.position();
+                    let attr = self.parse_name()?;
+                    self.skip_whitespace();
+                    self.expect("=")?;
+                    self.skip_whitespace();
+                    let value = self.parse_attr_value()?;
+                    if element.attr(&attr).is_some() {
+                        return Err(XmlError::new(
+                            attr_pos,
+                            XmlErrorKind::DuplicateAttribute { name: attr },
+                        ));
+                    }
+                    element.attributes.push((attr, value));
+                    element
+                        .attr_spans
+                        .push(Span::new(attr_pos.offset, self.pos));
+                }
+                _ => return Err(self.error(XmlErrorKind::ExpectedAttribute)),
+            }
+        }
+
+        if self.eat("/>") {
+            element.span = Span::new(open_start, self.pos);
+            return Ok((element, true));
+        }
+        self.expect(">")?;
+        element.span = Span::new(open_start, open_start);
+        Ok((element, false))
+    }
+
+    fn parse_attr_value(&mut self) -> Result<String, XmlError> {
+        let Some(quote @ ('"' | '\'')) = self.peek() else {
+            return Err(self.error(XmlErrorKind::ExpectedAttrValue));
+        };
+        self.bump();
+        let mut value = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.error(XmlErrorKind::UnterminatedAttrValue)),
+                Some(c) if c == quote => {
+                    self.bump();
+                    return Ok(value);
+                }
+                Some('<') => return Err(self.error(XmlErrorKind::AngleInAttrValue)),
+                Some('&') => value.push(self.parse_reference()?),
+                Some(c) => {
+                    value.push(c);
+                    self.bump();
+                }
             }
         }
     }
@@ -614,6 +647,25 @@ mod tests {
             // The rendered message and position agree with the kind.
             assert!(err.to_string().contains("XML error at"), "{err}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let at_limit = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(at_limit.name, "a");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, XmlErrorKind::TooDeep { limit: MAX_DEPTH });
+        assert_eq!(
+            err.offset(),
+            3 * MAX_DEPTH,
+            "error points at the opening `<`"
+        );
+        // Far past the limit the parser stops at the limit, in linear
+        // time and bounded stack.
+        let err = parse(&"<a>".repeat(200_000)).unwrap_err();
+        assert_eq!(err.kind, XmlErrorKind::TooDeep { limit: MAX_DEPTH });
+        assert!(err.to_string().contains("nested deeper than 1024"), "{err}");
     }
 
     #[test]

@@ -246,3 +246,176 @@ fn unix_socket_transport_serves_a_session() {
     assert!(!sock.exists(), "socket file cleaned up");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Escape text for embedding in a JSON string field.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// The bundled example (`moteur example`): workflow and input XML.
+fn bundled_example(tag: &str) -> (String, String) {
+    let dir =
+        std::env::temp_dir().join(format!("moteur-daemon-golden-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("example dir");
+    let out = moteur()
+        .arg("example")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn example");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |f: &str| std::fs::read_to_string(dir.join(f)).expect(f);
+    let example = (read("bronze-standard.xml"), read("inputs-12.xml"));
+    let _ = std::fs::remove_dir_all(&dir);
+    example
+}
+
+/// A fixed mixed-tenant session: the bundled example submitted 60
+/// times across four tenants under cycling configs, retry limits and
+/// error policies, three cancels (two admitted instances, one still
+/// queued), a mid-session snapshot, then drain, list and metrics.
+fn golden_session(tag: &str) -> Vec<String> {
+    let (workflow, inputs) = bundled_example(tag);
+    let (workflow, inputs) = (json_escape(&workflow), json_escape(&inputs));
+    let configs = ["sp+dp", "sp", "dp", "nop", "sp+dp+jg"];
+    let mut lines: Vec<String> = (0..60)
+        .map(|i| {
+            format!(
+                r#"{{"schema":"moteur/daemon/v1","op":"submit","tenant":"t{}","workflow":"{workflow}","inputs":"{inputs}","config":"{}","max_retries":{},"continue_on_error":{}}}"#,
+                i % 4,
+                configs[i % configs.len()],
+                i % 3,
+                i % 2 == 1
+            )
+        })
+        .collect();
+    let cancel = |id: u32| format!(r#"{{"schema":"moteur/daemon/v1","op":"cancel","id":{id}}}"#);
+    // Ids 2 and 7 are admitted at once (each tenant has two workflow
+    // slots); id 45 is behind eleven earlier t0 submissions and queues.
+    lines.insert(30, cancel(2));
+    lines.push(cancel(7));
+    lines.push(cancel(45));
+    lines.push(r#"{"schema":"moteur/daemon/v1","op":"status","id":45}"#.to_string());
+    lines.push(req("metrics"));
+    lines.push(req("list"));
+    lines.push(req("drain"));
+    lines.push(req("list"));
+    lines.push(req("metrics"));
+    lines
+}
+
+/// Run [`golden_session`] on `grid` and compare it byte for byte with
+/// the committed transcript. The golden files were recorded once and
+/// are never regenerated: scheduling changes must reproduce them. On a
+/// mismatch the actual transcript is written next to the test binary's
+/// scratch directory for diffing.
+fn check_golden_session(grid: &str, golden: &str) {
+    let mut child = moteur()
+        .args([
+            "daemon",
+            "--grid",
+            grid,
+            "--max-workflows",
+            "2",
+            "--max-jobs",
+            "40",
+            "--weights",
+            "t0=1,t1=3,t2=2",
+            "--seed",
+            "3",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    for line in golden_session(grid) {
+        writeln!(stdin, "{line}").expect("write request");
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(
+        out.status.success(),
+        "daemon failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let actual = String::from_utf8(out.stdout).expect("utf-8 responses");
+    if actual != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("daemon_session_{grid}.actual.jsonl"));
+        std::fs::write(&path, &actual).expect("write actual transcript");
+        panic!(
+            "daemon session on --grid {grid} drifted from its golden transcript; actual written to {}",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn golden_daemon_session_is_byte_identical_on_the_virtual_grid() {
+    check_golden_session(
+        "virtual",
+        include_str!("golden/daemon_session_virtual.jsonl"),
+    );
+}
+
+#[test]
+fn golden_daemon_session_is_byte_identical_on_the_egee_grid() {
+    check_golden_session("egee", include_str!("golden/daemon_session_egee.jsonl"));
+}
+
+#[test]
+fn deeply_nested_scufl_gets_an_error_response_and_the_session_goes_on() {
+    let depth = 200_000;
+    let workflow = format!(
+        r#"<scufl name="deep">{}{}</scufl>"#,
+        "<x>".repeat(depth),
+        "</x>".repeat(depth)
+    );
+    let responses = run_session(&[
+        format!(
+            r#"{{"schema":"moteur/daemon/v1","op":"submit","tenant":"t","workflow":"{}","inputs":"{}"}}"#,
+            json_escape(&workflow),
+            tiny_inputs_json(1)
+        ),
+        submit_line("t", 1),
+        req("list"),
+    ]);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(
+        responses[0].contains(r#""op":"submit","ok":false"#),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[0].contains("nested deeper than"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].contains(r#""ok":true,"id":1"#),
+        "{}",
+        responses[1]
+    );
+    assert!(
+        responses[2].contains(r#""op":"list","ok":true"#),
+        "{}",
+        responses[2]
+    );
+}

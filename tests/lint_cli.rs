@@ -142,3 +142,35 @@ fn run_preflight_refuses_lint_errors_unless_no_verify() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// SCUFL nested far past the XML parser's depth limit: `lint` reports
+/// a diagnostic and exits 1 instead of overflowing its stack.
+#[test]
+fn lint_reports_excessive_nesting_instead_of_crashing() {
+    let dir = temp_dir("deep");
+    let depth = 200_000;
+    let deep = format!(
+        "<scufl name=\"deep\">\n{}{}</scufl>\n",
+        "<x>\n".repeat(depth),
+        "</x>\n".repeat(depth)
+    );
+    let path = write(&dir, "deep.xml", &deep);
+    let out = moteur()
+        .arg("lint")
+        .arg(&path)
+        .output()
+        .expect("spawn moteur lint");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "lint must exit with a diagnostic, not a signal: {:?}",
+        out.status
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("nested deeper than") || stderr.contains("nested deeper than"),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
